@@ -133,35 +133,35 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
     every axis and orientation.
     """
     d = M.dimension
-    lows: list[list[float]] = [[] for _ in range(d)]
-    highs: list[list[float]] = [[] for _ in range(d)]
-    all_points: list[np.ndarray] = []
+    axes = np.arange(d)
+    lows, highs = np.full(d, np.inf), np.full(d, -np.inf)
+    kept_min, kept_max = np.full(d, np.inf), np.full(d, -np.inf)
     warn = False
-    for _, entries, degenerate in candidate_poles(M, tol):
-        warn = warn or degenerate
-        if not entries:
+    for _, points, jittered in candidate_poles(M, tol):
+        if not len(points):
             continue
-        points = np.array([p.point for p in entries])
-        inside = contains_all_batch(M, points, tol)
-        for keep, pole in zip(inside, entries):
-            if not keep:
-                continue
-            all_points.append(pole.point)
-            if pole.orientation == SOUTH:
-                lows[pole.axis].append(float(pole.point[pole.axis]))
-            else:
-                highs[pole.axis].append(float(pole.point[pole.axis]))
-    if not all_points:
+        warn = warn or bool(jittered.any())
+        inside = contains_all_batch(M, points.reshape(-1, d), tol)
+        kept = points.reshape(-1, d)[inside]
+        if not len(kept):
+            continue
+        kept_min = np.minimum(kept_min, kept.min(axis=0))
+        kept_max = np.maximum(kept_max, kept.max(axis=0))
+        # Coordinate q of the e_q-poles, and which of them were retained.
+        poles = points.reshape(-1, d, 2, d)[:, axes, :, axes].transpose(1, 0, 2)
+        inside = inside.reshape(-1, d, 2)
+        lows = np.minimum(lows, np.where(inside[..., 0], poles[..., 0], np.inf).min(axis=0))
+        highs = np.maximum(highs, np.where(inside[..., 1], poles[..., 1], -np.inf).max(axis=0))
+    if np.isinf(kept_min).any():  # no candidate retained
         return None
-    stacked = np.array(all_points)
-    intervals = np.empty((d, 2))
-    for q in range(d):
-        # A missing bucket can only happen in near-degenerate float
-        # configurations; any retained point still bounds the box.
-        intervals[q, 0] = min(lows[q]) if lows[q] else float(np.min(stacked[:, q]))
-        intervals[q, 1] = max(highs[q]) if highs[q] else float(np.max(stacked[:, q]))
-        if not lows[q] or not highs[q]:
-            warn = True
+    # A missing bucket can only happen in near-degenerate float
+    # configurations; any retained point still bounds the box.
+    missing_low, missing_high = np.isinf(lows), np.isinf(highs)
+    if missing_low.any() or missing_high.any():
+        warn = True
+    intervals = np.column_stack(
+        [np.where(missing_low, kept_min, lows), np.where(missing_high, kept_max, highs)]
+    )
     return Box(intervals, degeneracy_warning=warn)
 
 

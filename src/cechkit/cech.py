@@ -10,6 +10,7 @@ import numpy as np
 from .geometry import (
     DEFAULT_TOL,
     DiskSystem,
+    PoleEngine,
     candidate_poles,
     contains_all_batch,
 )
@@ -71,6 +72,29 @@ def rescale(M: DiskSystem, lam: float) -> DiskSystem:
     return DiskSystem.from_arrays(M.centers, M.radii * lam)
 
 
+def _first_witness(M: DiskSystem, blocks, tol: float) -> CechDecision:
+    """The first candidate of ``blocks`` contained in all disks of M, if any.
+
+    The degeneracy warning covers the subsets enumerated up to the witness.
+    """
+    warn = False
+    for subsets, points, jittered in blocks:
+        if not len(subsets):
+            continue
+        flat = points.reshape(-1, M.dimension)
+        hit = np.flatnonzero(contains_all_batch(M, flat, tol))
+        if hit.size:
+            s = int(hit[0]) // points.shape[1]
+            return CechDecision(
+                True,
+                witness=flat[hit[0]].copy(),
+                generating_subset=tuple(int(i) for i in subsets[s]),
+                degeneracy_warning=warn or bool(jittered[: s + 1].any()),
+            )
+        warn = warn or bool(jittered.any())
+    return CechDecision(False, degeneracy_warning=warn)
+
+
 def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     """Decide whether all disks of M share a common point.
 
@@ -81,22 +105,7 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     """
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
-    warn = False
-    for subset, entries, degenerate in candidate_poles(M, tol):
-        warn = warn or degenerate
-        if not entries:
-            continue
-        points = np.array([p.point for p in entries])
-        inside = contains_all_batch(M, points, tol)
-        hit = np.flatnonzero(inside)
-        if hit.size:
-            return CechDecision(
-                True,
-                witness=entries[int(hit[0])].point,
-                generating_subset=subset,
-                degeneracy_warning=warn,
-            )
-    return CechDecision(False, degeneracy_warning=warn)
+    return _first_witness(M, candidate_poles(M, tol), tol)
 
 
 def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> ScaleReport:
@@ -113,7 +122,14 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     if nu == 0.0:
         # Single disk or coincident centers: every rescaling intersects.
         return ScaleReport(0.0, 0.0, eta, (0.0, 0.0), 0, witness=M.centers[0].copy())
-    decision = is_cech_system(rescale(M, nu), tol)
+    # Rescaling keeps the centers, so one engine serves every step.
+    engine = PoleEngine(M.centers, tol)
+
+    def decide(lam: float) -> CechDecision:
+        scaled = rescale(M, lam)
+        return _first_witness(scaled, engine.blocks(scaled), tol)
+
+    decision = decide(nu)
     if decision.is_cech:
         return ScaleReport(
             nu, nu, eta, (nu, nu), 0,
@@ -126,7 +142,7 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     iterations = 0
     while hi - lo > eta:
         mid = 0.5 * (lo + hi)
-        decision = is_cech_system(rescale(M, mid), tol)
+        decision = decide(mid)
         warn = warn or decision.degeneracy_warning
         iterations += 1
         if decision.is_cech:
@@ -135,7 +151,7 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
         else:
             lo = mid
     if witness is None:
-        decision = is_cech_system(rescale(M, hi), tol)
+        decision = decide(hi)
         warn = warn or decision.degeneracy_warning
         witness = decision.witness
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)

@@ -84,10 +84,18 @@ def _parse_json(text: str) -> DiskSystem:
     try:
         dim = int(data["dimension"])
         rows = data["disks"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"JSON must carry 'dimension' and 'disks': {exc}") from None
+    if dim < 1:
+        raise ParseError(f"dimension must be positive, got {dim}")
+    if not isinstance(rows, list):
+        raise ParseError("'disks' must be a list of [c_1, ..., c_d, r] rows")
     disks = []
     for i, row in enumerate(rows, start=1):
+        if not isinstance(row, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
+        ):
+            raise ParseError(f"disk {i}: expected a list of numbers, got {row!r}")
         if len(row) != dim + 1:
             raise ParseError(f"disk {i}: expected {dim} coordinates + radius")
         if row[-1] <= 0:
@@ -293,17 +301,12 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
             f'width="{max(w, 1.0):.2f}" height="{max(h, 1.0):.2f}" '
             f'fill="none" stroke="crimson" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
-    for _, entries, _ in candidate_poles(M, tol):
-        if not entries:
+    for _, points, _ in candidate_poles(M, tol):
+        if not len(points):
             continue
-        points = np.array([p.point for p in entries])
-        inside = contains_all_batch(M, points, tol)
-        for keep, pole in zip(inside, entries):
-            if keep:
-                parts.append(
-                    f'<circle cx="{sx(pole.point[0]):.2f}" cy="{sy(pole.point[1]):.2f}" '
-                    f'r="3" fill="crimson"/>'
-                )
+        flat = points.reshape(-1, 2)
+        for x, y in flat[contains_all_batch(M, flat, tol)]:
+            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="crimson"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+# Candidate points per contains_all_batch chunk.
+CONTAINS_CHUNK = 256
 
 SOUTH = "south"
 NORTH = "north"
@@ -224,15 +227,43 @@ def contains_all(system: DiskSystem, p, tol: float = DEFAULT_TOL) -> bool:
 
 
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized contains_all over an (n, d) array of points."""
-    diff = points[:, None, :] - system.centers[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    return np.all(dist <= system.radii + tol * (1.0 + system.radii), axis=1)
+    """Vectorized contains_all over an (n, d) array of points.
+
+    Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
+    difference array stays bounded however many candidates a block holds.
+    """
+    bound = system.radii + tol * (1.0 + system.radii)
+    inside = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), CONTAINS_CHUNK):
+        chunk = points[start : start + CONTAINS_CHUNK]
+        dist = np.linalg.norm(chunk[:, None, :] - system.centers[None, :, :], axis=2)
+        inside[start : start + CONTAINS_CHUNK] = np.all(dist <= bound, axis=1)
+    return inside
 
 
 # ---------------------------------------------------------------------------
 # Boundary intersections
 # ---------------------------------------------------------------------------
+
+
+def _rank_deficient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank test of one Gram matrix or of a stack of them.
+
+    Returns ``(deficient, rank)`` per matrix: a matrix is deficient when it
+    is zero or its smallest singular value is at most 1e-12 of its largest.
+    """
+    sv = np.linalg.svd(gram, compute_uv=False)
+    top = sv[..., 0]
+    deficient = (top <= 0.0) | (sv[..., -1] <= 1e-12 * top)
+    rank = np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1)
+    return deficient, rank
+
+
+def _require_full_rank(gram: np.ndarray, message: str) -> None:
+    """Raise DegenerateConfiguration (``message`` may use ``{rank}``)."""
+    deficient, rank = _rank_deficient(gram)
+    if deficient:
+        raise DegenerateConfiguration(message.format(rank=int(rank)), rank=int(rank))
 
 
 def intersect_two_spheres(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> IntersectionKind:
@@ -279,12 +310,7 @@ def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> Intersectio
     N = M.centers[:-1] - base  # (m-1, d)
     gram = N @ N.T
     rhs = 0.5 * (M.radii[-1] ** 2 + np.sum(N * N, axis=1) - M.radii[:-1] ** 2)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        rank = int(np.sum(sv > 1e-12 * max(sv[0], 1e-300)))
-        raise DegenerateConfiguration(
-            f"affinely dependent centers (Gram rank {rank} < {m - 1})", rank=rank
-        )
+    _require_full_rank(gram, f"affinely dependent centers (Gram rank {{rank}} < {m - 1})")
     lam = np.linalg.solve(gram, rhs)
     center = lam @ N + base
     r2_all = M.radii**2 - np.sum((center - M.centers) ** 2, axis=1)
@@ -365,10 +391,7 @@ def poles_general(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Po
         raise GeometryError(f"axis {q} out of range for dimension {d}")
     N = sphere.normals
     gram = N @ N.T
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        rank = int(np.sum(sv > 1e-12 * max(sv[0], 1e-300)))
-        raise DegenerateConfiguration("normals are linearly dependent", rank=rank)
+    _require_full_rank(gram, "normals are linearly dependent")
     w = np.linalg.solve(gram, -N[:, q])
     u = w @ N
     u[q] += 1.0
@@ -383,10 +406,7 @@ def pole_directions(sphere: ISphere) -> np.ndarray:
     """
     N = sphere.normals
     gram = N @ N.T
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        rank = int(np.sum(sv > 1e-12 * max(sv[0], 1e-300)))
-        raise DegenerateConfiguration("normals are linearly dependent", rank=rank)
+    _require_full_rank(gram, "normals are linearly dependent")
     proj = np.eye(sphere.dimension) - N.T @ np.linalg.solve(gram, N)
     return proj
 
@@ -466,38 +486,168 @@ def subset_boundary(
         return EmptyIntersection(), True
 
 
+def _subset_poles(
+    M: DiskSystem, indices: tuple[int, ...], tol: float
+) -> tuple[np.ndarray | None, bool]:
+    """Per-subset path: the 2d candidate points of one subset and its jitter flag.
+
+    The points are None when the subset yields no candidate.
+    """
+    d = M.dimension
+    kind, jittered = subset_boundary(M, indices, tol)
+    if isinstance(kind, PointIntersection):
+        return np.repeat(kind.point[None, :], 2 * d, axis=0), jittered
+    if isinstance(kind, SphereIntersection):
+        sphere = kind.sphere
+        try:
+            proj = pole_directions(sphere)
+        except DegenerateConfiguration:
+            return None, jittered
+        pairs = [_pole_pair(sphere, q, proj[:, q].copy(), tol) for q in range(d)]
+        return np.array([pole.point for pair in pairs for pole in pair]), jittered
+    return None, jittered
+
+
+@dataclass(frozen=True)
+class _SizeBatch:
+    """Radius-free data of all C(m, k) subsets of one size k >= 2.
+
+    ``fast`` marks the full-rank subsets with no degenerate axis; the other
+    rows, listed in ``fallback``, hold placeholders.  ``unit[s, q]`` is the
+    unit direction from the center toward the e_q-north pole (None when
+    k = d+1, which yields points only).
+    """
+
+    subsets: np.ndarray
+    fast: np.ndarray
+    fallback: np.ndarray
+    members: np.ndarray
+    normals: np.ndarray
+    gram: np.ndarray
+    sq_norms: np.ndarray
+    unit: np.ndarray | None
+
+
+class PoleEngine:
+    """Pole candidates of every subset of up to d+1 disks with fixed centers.
+
+    The Gram matrices, their rank test and the pole directions depend on the
+    centers only; they are computed once per subset size, on first use, and
+    reused for any radii (every bisection step of :func:`cech_scale`).  Each
+    radius-dependent block costs one batched solve.  Rank-deficient subsets
+    and subsets with a degenerate axis take the per-subset path
+    (:func:`subset_boundary`, :func:`pole_directions`, :func:`_pole_pair`).
+    """
+
+    def __init__(self, centers: np.ndarray, tol: float = DEFAULT_TOL):
+        self.centers = np.asarray(centers, dtype=float)
+        self.tol = tol
+        self._sizes: dict[int, _SizeBatch] = {}
+
+    def _size(self, k: int) -> _SizeBatch:
+        batch = self._sizes.get(k)
+        if batch is None:
+            batch = self._sizes[k] = self._prepare(k)
+        return batch
+
+    def _prepare(self, k: int) -> _SizeBatch:
+        m, d = self.centers.shape
+        n = math.comb(m, k)
+        subsets = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp, n * k)
+        subsets = subsets.reshape(n, k)
+        members = self.centers[subsets]
+        normals = members[:, :-1] - members[:, -1:]
+        gram = normals @ normals.transpose(0, 2, 1)
+        fast = ~_rank_deficient(gram)[0]
+        # Identity placeholders keep the batched solves defined.
+        gram[~fast] = np.eye(k - 1)
+        unit = None
+        if k <= d:
+            # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
+            proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
+            norms = np.linalg.norm(proj, axis=1)
+            fast &= np.all(norms > eff_tol(self.tol, 1.0), axis=1)
+            norms[~fast] = 1.0
+            proj /= norms[:, None, :]
+            unit = proj.transpose(0, 2, 1)
+        return _SizeBatch(
+            subsets=subsets,
+            fast=fast,
+            fallback=np.flatnonzero(~fast),
+            members=members,
+            normals=normals,
+            gram=gram,
+            sq_norms=np.sum(normals**2, axis=2),
+            unit=unit,
+        )
+
+    def blocks(self, M: DiskSystem):
+        """Yield ``(subsets, points, jittered)`` per subset size, ascending.
+
+        ``M`` carries the engine's centers and the radii to use.  ``subsets``
+        is an (n, k) index array in lexicographic order, ``points`` is
+        (n, 2d, d): for each axis ascending, the south then the north pole
+        (a single-point intersection repeats its point), and ``jittered``
+        marks subsets computed from perturbed centers.  Only subsets that
+        yield candidates appear.
+        """
+        m, d = self.centers.shape
+        axes = np.arange(d)
+        points = np.repeat(self.centers[:, None, :], 2 * d, axis=1).reshape(m, d, 2, d)
+        points[:, axes, 0, axes] -= M.radii[:, None]
+        points[:, axes, 1, axes] += M.radii[:, None]
+        yield np.arange(m)[:, None], points.reshape(m, 2 * d, d), np.zeros(m, dtype=bool)
+        for k in range(2, min(m, d + 1) + 1):
+            yield self._block(M, k)
+
+    def _block(self, M: DiskSystem, k: int):
+        d, tol = M.dimension, self.tol
+        batch = self._size(k)
+        radii = M.radii[batch.subsets]
+        sq = radii**2
+        rhs = 0.5 * (sq[:, -1:] + batch.sq_norms - sq[:, :-1])
+        lam = np.linalg.solve(batch.gram, rhs[..., None])
+        center = (lam.transpose(0, 2, 1) @ batch.normals)[:, 0] + batch.members[:, -1]
+        diff = center[:, None, :] - batch.members
+        diff *= diff
+        r2 = np.mean(sq - np.sum(diff, axis=2), axis=1)
+        scale = 1.0 + np.max(radii, axis=1)
+        tol_sq = tol * scale * scale
+        # The rules of reduce_sphere_system: a point within tol_sq of zero
+        # radius, a sphere above it while k <= d, else empty.
+        sphere = (batch.fast & (r2 > tol_sq)) if batch.unit is not None else np.zeros_like(batch.fast)
+        keep = sphere | (batch.fast & (np.abs(r2) <= tol_sq))
+        index = np.flatnonzero(keep)
+        points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
+        if sphere.any():
+            offset = np.sqrt(r2[sphere])[:, None, None] * batch.unit[sphere]
+            c = center[sphere][:, None, :]
+            points[sphere[index]] = np.stack([c - offset, c + offset], axis=2).reshape(-1, 2 * d, d)
+        jittered = np.zeros(len(index), dtype=bool)
+        slow = []
+        for j in batch.fallback:
+            poles, jit = _subset_poles(M, tuple(int(i) for i in batch.subsets[j]), tol)
+            if poles is not None:
+                slow.append((j, poles, jit))
+        if slow:
+            rows, extra, jits = zip(*slow)
+            index = np.concatenate([index, rows])
+            order = np.argsort(index)
+            index = index[order]
+            points = np.concatenate([points, np.stack(extra)])[order]
+            jittered = np.concatenate([jittered, jits])[order]
+        return batch.subsets[index], points, jittered
+
+
 def candidate_poles(M: DiskSystem, tol: float = DEFAULT_TOL):
     """Enumerate every pole candidate of the i-spheres of a disk system.
 
-    Yields ``(subset, entries, degenerate)`` in canonical order (subset
-    size ascending, subsets lexicographic); ``entries`` is a list of
-    :class:`Pole`.  A single-point boundary intersection contributes a
-    pole for every axis and orientation.  Subset size is capped at
-    min(m, d+1): larger boundary intersections are generically empty and
-    Helly's theorem covers decision completeness.
+    Yields one block ``(subsets, points, jittered)`` per subset size (see
+    :meth:`PoleEngine.blocks`), in canonical order: subset size ascending,
+    subsets lexicographic, axes ascending, south before north.  A
+    single-point boundary intersection contributes its point for every axis
+    and orientation.  Subset size is capped at min(m, d+1): larger boundary
+    intersections are generically empty and Helly's theorem covers decision
+    completeness.
     """
-    m, d = len(M), M.dimension
-    for i in range(m):
-        entries = []
-        for q in range(d):
-            entries.extend(boundary_poles(M[i], q))
-        yield (i,), entries, False
-    for k in range(2, min(m, d + 1) + 1):
-        for subset in combinations(range(m), k):
-            kind, degenerate = subset_boundary(M, subset, tol)
-            if isinstance(kind, EmptyIntersection):
-                continue
-            entries = []
-            if isinstance(kind, PointIntersection):
-                for q in range(d):
-                    entries.append(Pole(kind.point, q, SOUTH))
-                    entries.append(Pole(kind.point, q, NORTH))
-            else:
-                sphere = kind.sphere
-                try:
-                    proj = pole_directions(sphere)
-                except DegenerateConfiguration:
-                    continue
-                for q in range(d):
-                    entries.extend(_pole_pair(sphere, q, proj[:, q].copy(), tol))
-            yield subset, entries, degenerate
+    yield from PoleEngine(M.centers, tol).blocks(M)

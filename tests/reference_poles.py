@@ -1,0 +1,187 @@
+"""Per-subset pole enumeration: the reference the batched pole engine is tested against.
+
+This is the enumeration the package used before :class:`cechkit.geometry.PoleEngine`:
+one :func:`subset_boundary` call per subset, then :func:`pole_directions` and
+:func:`_pole_pair` for spheres, one :class:`Pole` per candidate and one
+:func:`contains_all_batch` call per subset.  Its consumers below keep the
+semantics of the package's decision, minimal box and SVG picture.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from cechkit import Box, CechDecision, DegenerateConfiguration, ScaleReport, jung_factor, rescale, rips_scale
+from cechkit.geometry import (
+    DEFAULT_TOL,
+    NORTH,
+    SOUTH,
+    EmptyIntersection,
+    Pole,
+    PointIntersection,
+    _pole_pair,
+    boundary_poles,
+    contains_all_batch,
+    pole_directions,
+    subset_boundary,
+)
+
+
+def candidate_poles(M, tol=DEFAULT_TOL):
+    """Yield ``(subset, poles, degenerate)`` per subset in canonical order."""
+    m, d = len(M), M.dimension
+    for i in range(m):
+        entries = []
+        for q in range(d):
+            entries.extend(boundary_poles(M[i], q))
+        yield (i,), entries, False
+    for k in range(2, min(m, d + 1) + 1):
+        for subset in combinations(range(m), k):
+            kind, degenerate = subset_boundary(M, subset, tol)
+            if isinstance(kind, EmptyIntersection):
+                continue
+            entries = []
+            if isinstance(kind, PointIntersection):
+                for q in range(d):
+                    entries.append(Pole(kind.point, q, SOUTH))
+                    entries.append(Pole(kind.point, q, NORTH))
+            else:
+                sphere = kind.sphere
+                try:
+                    proj = pole_directions(sphere)
+                except DegenerateConfiguration:
+                    continue
+                for q in range(d):
+                    entries.extend(_pole_pair(sphere, q, proj[:, q].copy(), tol))
+            yield subset, entries, degenerate
+
+
+def retained(M, tol=DEFAULT_TOL):
+    """Yield ``(subset, pole, degenerate)`` for every pole contained in all disks."""
+    for subset, entries, degenerate in candidate_poles(M, tol):
+        if not entries:
+            continue
+        points = np.array([p.point for p in entries])
+        for keep, pole in zip(contains_all_batch(M, points, tol), entries):
+            if keep:
+                yield subset, pole, degenerate
+
+
+def retained_pole_points(M, tol=DEFAULT_TOL):
+    return [pole.point for _, pole, _ in retained(M, tol)]
+
+
+def is_cech_system(M, tol=DEFAULT_TOL):
+    if len(M) == 1:
+        return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
+    warn = False
+    for subset, entries, degenerate in candidate_poles(M, tol):
+        warn = warn or degenerate
+        if not entries:
+            continue
+        points = np.array([p.point for p in entries])
+        hit = np.flatnonzero(contains_all_batch(M, points, tol))
+        if hit.size:
+            return CechDecision(True, entries[int(hit[0])].point, subset, warn)
+    return CechDecision(False, degeneracy_warning=warn)
+
+
+def cech_scale(M, eta=1e-6, tol=DEFAULT_TOL, decide=is_cech_system):
+    """The bisection of :func:`cechkit.cech_scale`, deciding each step with
+    ``decide(rescale(M, lam), tol)`` on a freshly rescaled system."""
+    nu = rips_scale(M)
+    if nu == 0.0:
+        return ScaleReport(0.0, 0.0, eta, (0.0, 0.0), 0, witness=M.centers[0].copy())
+    decision = decide(rescale(M, nu), tol)
+    if decision.is_cech:
+        return ScaleReport(nu, nu, eta, (nu, nu), 0, decision.witness, decision.degeneracy_warning)
+    lo, hi = nu, jung_factor(M.dimension) * nu
+    witness = None
+    warn = decision.degeneracy_warning
+    iterations = 0
+    while hi - lo > eta:
+        mid = 0.5 * (lo + hi)
+        decision = decide(rescale(M, mid), tol)
+        warn = warn or decision.degeneracy_warning
+        iterations += 1
+        if decision.is_cech:
+            hi = mid
+            witness = decision.witness
+        else:
+            lo = mid
+    if witness is None:
+        decision = decide(rescale(M, hi), tol)
+        warn = warn or decision.degeneracy_warning
+        witness = decision.witness
+    return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness, warn)
+
+
+def aabb_minimal(M, tol=DEFAULT_TOL):
+    d = M.dimension
+    lows = [[] for _ in range(d)]
+    highs = [[] for _ in range(d)]
+    all_points = []
+    warn = False
+    for _, entries, degenerate in candidate_poles(M, tol):
+        warn = warn or degenerate
+        if not entries:
+            continue
+        points = np.array([p.point for p in entries])
+        for keep, pole in zip(contains_all_batch(M, points, tol), entries):
+            if not keep:
+                continue
+            all_points.append(pole.point)
+            bucket = lows if pole.orientation == SOUTH else highs
+            bucket[pole.axis].append(float(pole.point[pole.axis]))
+    if not all_points:
+        return None
+    stacked = np.array(all_points)
+    intervals = np.empty((d, 2))
+    for q in range(d):
+        intervals[q, 0] = min(lows[q]) if lows[q] else float(np.min(stacked[:, q]))
+        intervals[q, 1] = max(highs[q]) if highs[q] else float(np.max(stacked[:, q]))
+        if not lows[q] or not highs[q]:
+            warn = True
+    return Box(intervals, degeneracy_warning=warn)
+
+
+def render_svg(M, tol=DEFAULT_TOL, size=640):
+    lo = np.min(M.centers - M.radii[:, None], axis=0)
+    hi = np.max(M.centers + M.radii[:, None], axis=0)
+    span = float(np.max(hi - lo))
+    pad = 0.05 * span
+    lo, span = lo - pad, span + 2 * pad
+    scale = size / span
+
+    def sx(x):
+        return (x - lo[0]) * scale
+
+    def sy(y):
+        return size - (y - lo[1]) * scale
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">'
+    ]
+    for disk in M.disks:
+        parts.append(
+            f'<circle cx="{sx(disk.center[0]):.2f}" cy="{sy(disk.center[1]):.2f}" '
+            f'r="{disk.radius * scale:.2f}" fill="steelblue" fill-opacity="0.15" '
+            f'stroke="steelblue" stroke-width="1.5"/>'
+        )
+    box = aabb_minimal(M, tol)
+    if box is not None:
+        w = (box.upper[0] - box.lower[0]) * scale
+        h = (box.upper[1] - box.lower[1]) * scale
+        parts.append(
+            f'<rect x="{sx(box.lower[0]):.2f}" y="{sy(box.upper[1]):.2f}" '
+            f'width="{max(w, 1.0):.2f}" height="{max(h, 1.0):.2f}" '
+            f'fill="none" stroke="crimson" stroke-width="1.5" stroke-dasharray="6 3"/>'
+        )
+    for _, pole, _ in retained(M, tol):
+        parts.append(
+            f'<circle cx="{sx(pole.point[0]):.2f}" cy="{sy(pole.point[1]):.2f}" '
+            f'r="3" fill="crimson"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)

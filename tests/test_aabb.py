@@ -26,6 +26,7 @@ from cechkit import (
     poles_general,
     reduce_sphere_system,
 )
+import reference_poles
 from conftest import hollow_simplex_system, intersecting_simplex_system, random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -153,17 +154,7 @@ def test_minimal_faces_touched_by_retained_poles():
 
 
 def _retained_pole_points(M):
-    from cechkit.geometry import candidate_poles, contains_all_batch
-
-    points = []
-    for _, entries, _ in candidate_poles(M):
-        if not entries:
-            continue
-        arr = np.array([p.point for p in entries])
-        for keep, pole in zip(contains_all_batch(M, arr), entries):
-            if keep:
-                points.append(pole.point)
-    return points
+    return reference_poles.retained_pole_points(M)
 
 
 def test_minimal_matches_oracle():

@@ -91,6 +91,28 @@ def test_parse_json_errors():
         parse_disk_system('{"dimension": 2, "disks": [[0, 0, -1]]}', "json")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('{"dimension": 2, "disks": [5]}', "disk 1"),
+        ('{"dimension": 2, "disks": [[0, 0, "a"]]}', "disk 1"),
+        ('{"dimension": 2, "disks": [[0, 0, 1], [0, null, 1]]}', "disk 2"),
+        ('{"dimension": 2, "disks": [[0, 0, true]]}', "disk 1"),
+        ('{"dimension": 2, "disks": 5}', "'disks' must be a list"),
+        ('{"dimension": 2, "disks": {"a": 1}}', "'disks' must be a list"),
+        ('{"dimension": "x", "disks": []}', "'dimension' and 'disks'"),
+        ('{"dimension": 0, "disks": [[1]]}', "dimension must be positive"),
+    ],
+)
+def test_parse_json_malformed_rows_are_usage_errors(tmp_path, capsys, text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_disk_system(text, "json")
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
