@@ -13,7 +13,6 @@ from .geometry import (
     Disk,
     DiskSystem,
     DimensionMismatch,
-    EmptyIntersection,
     GeometryError,
     PointIntersection,
     SphereIntersection,
@@ -133,15 +132,20 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
     every axis and orientation.
     """
     d = M.dimension
+    blocks = candidate_poles(M, tol)
+    tested = ((p, contains_all_batch(M, p.reshape(-1, d), tol), j) for _, p, j in blocks if len(p))
+    return pole_envelope(tested, d)
+
+
+def pole_envelope(tested, d: int) -> Box | None:
+    """The box of :func:`aabb_minimal` from ``(points, inside, jittered)``
+    blocks: :func:`candidate_poles` blocks with their flat containment mask."""
     axes = np.arange(d)
     lows, highs = np.full(d, np.inf), np.full(d, -np.inf)
     kept_min, kept_max = np.full(d, np.inf), np.full(d, -np.inf)
     warn = False
-    for _, points, jittered in candidate_poles(M, tol):
-        if not len(points):
-            continue
+    for points, inside, jittered in tested:
         warn = warn or bool(jittered.any())
-        inside = contains_all_batch(M, points.reshape(-1, d), tol)
         kept = points.reshape(-1, d)[inside]
         if not len(kept):
             continue

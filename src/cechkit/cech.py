@@ -66,9 +66,7 @@ def rips_scale(M: DiskSystem) -> float:
 
 
 def rescale(M: DiskSystem, lam: float) -> DiskSystem:
-    """Same centers, radii multiplied by lam > 0."""
-    if not lam > 0.0:
-        raise ValueError(f"scale factor must be positive, got {lam}")
+    """Same centers, radii multiplied by lam > 0 (else GeometryError)."""
     return DiskSystem.from_arrays(M.centers, M.radii * lam)
 
 

@@ -18,10 +18,10 @@ import sys
 
 import numpy as np
 
-from .aabb import Box, aabb_minimal
+from .aabb import Box, aabb_minimal, pole_envelope
 from .cech import cech_scale, is_cech_system, rips_scale
 from .filtration import build_filtration
-from .geometry import DEFAULT_TOL, Disk, DiskSystem, GeometryError, candidate_poles, contains_all_batch, preprocess
+from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, candidate_poles, contains_all_batch, preprocess
 
 SCHEMA = "cech-kit/1"
 
@@ -73,7 +73,8 @@ def _parse_csv(text: str) -> DiskSystem:
         rows.append(values)
     if not rows:
         raise ParseError("no disks in input")
-    return DiskSystem(tuple(Disk(np.array(r[:-1]), r[-1]) for r in rows))
+    rows = np.array(rows)
+    return DiskSystem.from_arrays(rows[:, :-1], rows[:, -1])
 
 
 def _parse_json(text: str) -> DiskSystem:
@@ -90,7 +91,6 @@ def _parse_json(text: str) -> DiskSystem:
         raise ParseError(f"dimension must be positive, got {dim}")
     if not isinstance(rows, list):
         raise ParseError("'disks' must be a list of [c_1, ..., c_d, r] rows")
-    disks = []
     for i, row in enumerate(rows, start=1):
         if not isinstance(row, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
@@ -100,26 +100,21 @@ def _parse_json(text: str) -> DiskSystem:
             raise ParseError(f"disk {i}: expected {dim} coordinates + radius")
         if row[-1] <= 0:
             raise ParseError(f"disk {i}: non-positive radius {row[-1]}")
-        disks.append(Disk(np.array(row[:-1], dtype=float), float(row[-1])))
-    if not disks:
+    if not rows:
         raise ParseError("no disks in input")
-    return DiskSystem(tuple(disks))
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:
+        raise ParseError("a coordinate or radius is too large for a float") from None
+    return DiskSystem.from_arrays(values[:, :-1], values[:, -1])
 
 
 def serialize_disk_system(M: DiskSystem, format: str = "csv") -> str:
+    rows = np.column_stack([M.centers, M.radii]).tolist()
     if format == "csv":
-        lines = [
-            ",".join(repr(float(v)) for v in [*disk.center, disk.radius])
-            for disk in M.disks
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(repr, row)) + "\n" for row in rows)
     if format == "json":
-        return json.dumps(
-            {
-                "dimension": M.dimension,
-                "disks": [[*map(float, d.center), float(d.radius)] for d in M.disks],
-            }
-        )
+        return json.dumps({"dimension": M.dimension, "disks": rows})
     raise ParseError(f"unknown format {format!r}")
 
 
@@ -286,13 +281,15 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">'
     ]
-    for disk in M.disks:
+    for (x, y), r in zip(M.centers, M.radii):
         parts.append(
-            f'<circle cx="{sx(disk.center[0]):.2f}" cy="{sy(disk.center[1]):.2f}" '
-            f'r="{disk.radius * scale:.2f}" fill="steelblue" fill-opacity="0.15" '
+            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" '
+            f'r="{r * scale:.2f}" fill="steelblue" fill-opacity="0.15" '
             f'stroke="steelblue" stroke-width="1.5"/>'
         )
-    box = aabb_minimal(M, tol)
+    blocks = candidate_poles(M, tol)
+    tested = [(p, contains_all_batch(M, p.reshape(-1, 2), tol), j) for _, p, j in blocks if len(p)]
+    box = pole_envelope(tested, 2)
     if box is not None:
         w = (box.upper[0] - box.lower[0]) * scale
         h = (box.upper[1] - box.lower[1]) * scale
@@ -301,11 +298,8 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
             f'width="{max(w, 1.0):.2f}" height="{max(h, 1.0):.2f}" '
             f'fill="none" stroke="crimson" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
-    for _, points, _ in candidate_poles(M, tol):
-        if not len(points):
-            continue
-        flat = points.reshape(-1, 2)
-        for x, y in flat[contains_all_batch(M, flat, tol)]:
+    for points, inside, _ in tested:
+        for x, y in points.reshape(-1, 2)[inside]:
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="crimson"/>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -8,7 +8,7 @@ every membership and classification test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
@@ -80,46 +80,57 @@ class Disk:
         return self.center.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DiskSystem:
-    """Finite ordered collection of disks sharing one ambient dimension."""
+    """Finite ordered collection of disks sharing one ambient dimension, held as
+    two read-only arrays the system owns: (m, d) ``centers`` and (m,) ``radii``.
+    ``M[i]`` and ``M.disks`` build :class:`Disk` objects on demand."""
 
-    disks: tuple[Disk, ...]
-    centers: np.ndarray = field(init=False, repr=False, compare=False)
-    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    centers: np.ndarray
+    radii: np.ndarray
 
-    def __post_init__(self):
-        disks = tuple(self.disks)
-        if len(disks) < 1:
-            raise GeometryError("a disk system needs at least one disk")
-        d = disks[0].dimension
-        for disk in disks:
-            if disk.dimension != d:
-                raise DimensionMismatch(
-                    f"all disks must share one dimension, got {disk.dimension} != {d}"
-                )
-        object.__setattr__(self, "disks", disks)
-        object.__setattr__(self, "centers", np.array([k.center for k in disks]))
-        object.__setattr__(self, "radii", np.array([k.radius for k in disks]))
+    def __init__(self, disks):
+        disks = tuple(disks)
+        try:
+            centers = np.array([k.center for k in disks], dtype=float)
+        except ValueError:
+            raise DimensionMismatch("all disks must share one dimension") from None
+        self.__post_init__(centers, [k.radius for k in disks])
 
     @classmethod
     def from_arrays(cls, centers, radii) -> "DiskSystem":
-        centers = np.asarray(centers, dtype=float)
-        radii = np.asarray(radii, dtype=float)
-        return cls(tuple(Disk(c, r) for c, r in zip(centers, radii)))
+        system = cls.__new__(cls)
+        system.__post_init__(centers, radii)
+        return system
+
+    def __post_init__(self, centers, radii):
+        # Every construction ends here: copy, validate, freeze.
+        centers, radii = np.array(centers, dtype=float), np.array(radii, dtype=float)
+        if centers.ndim != 2 or centers.size < 1 or radii.shape != centers.shape[:1]:
+            raise GeometryError(f"need (m, d) centers and (m,) radii, m, d >= 1; got {centers.shape}, {radii.shape}")
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all() and (radii > 0.0).all()):
+            raise GeometryError("disk centers must be finite and radii finite and positive")
+        centers.flags.writeable = radii.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def dimension(self) -> int:
-        return self.disks[0].dimension
+        return self.centers.shape[1]
+
+    @property
+    def disks(self) -> tuple[Disk, ...]:
+        return tuple(map(Disk, self.centers, self.radii))
 
     def __len__(self) -> int:
-        return len(self.disks)
+        return len(self.radii)
 
     def __getitem__(self, i: int) -> Disk:
-        return self.disks[i]
+        return Disk(self.centers[i], self.radii[i])
 
     def subsystem(self, indices) -> "DiskSystem":
-        return DiskSystem(tuple(self.disks[i] for i in indices))
+        indices = list(indices)
+        return DiskSystem.from_arrays(self.centers[indices], self.radii[indices])
 
 
 @dataclass(frozen=True)
@@ -219,15 +230,8 @@ def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(p - disk.center)) <= disk.radius + eff_tol(tol, disk.radius)
 
 
-def contains_all(system: DiskSystem, p, tol: float = DEFAULT_TOL) -> bool:
-    """True iff p lies in every disk of the system (with tolerance)."""
-    p = np.asarray(p, dtype=float)
-    dist = np.linalg.norm(system.centers - p, axis=1)
-    return bool(np.all(dist <= system.radii + tol * (1.0 + system.radii)))
-
-
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized contains_all over an (n, d) array of points.
+    """Which of an (n, d) array of points lie in every disk (with tolerance).
 
     Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
     difference array stays bounded however many candidates a block holds.

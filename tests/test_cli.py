@@ -102,6 +102,10 @@ def test_parse_json_errors():
         ('{"dimension": 2, "disks": {"a": 1}}', "'disks' must be a list"),
         ('{"dimension": "x", "disks": []}', "'dimension' and 'disks'"),
         ('{"dimension": 0, "disks": [[1]]}', "dimension must be positive"),
+        pytest.param('{"dimension": 2, "disks": [[0, 0, 1%s]]}' % ("0" * 400), "too large for a float",
+                     id="radius-1e400-int"),
+        pytest.param('{"dimension": 2, "disks": [[1%s, 0, 1]]}' % ("0" * 400), "too large for a float",
+                     id="coordinate-1e400-int"),
     ],
 )
 def test_parse_json_malformed_rows_are_usage_errors(tmp_path, capsys, text, match):

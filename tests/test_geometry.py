@@ -17,6 +17,8 @@ from cechkit import (
     PointIntersection,
     SphereIntersection,
     boundary_poles,
+    build_filtration,
+    cech_scale,
     contains,
     intersect_two_spheres,
     poles_codim1,
@@ -24,6 +26,7 @@ from cechkit import (
     preprocess,
     reduce_sphere_system,
 )
+from conftest import random_system
 
 SQRT2 = math.sqrt(2.0)
 
@@ -374,6 +377,48 @@ def test_disk_rejects_nonpositive_radius():
 def test_disk_system_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         DiskSystem((Disk(np.zeros(2), 1.0), Disk(np.zeros(3), 1.0)))
+
+
+@pytest.mark.parametrize(
+    "centers, radii",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [1.0, 1.0]),
+        ([[0.0, np.nan]], [1.0]),
+        ([[0.0, 0.0]], [np.inf]),
+        ([[0.0, 0.0]], [0.0]),
+        ([0.0, 0.0], [1.0, 1.0]),
+        (np.zeros((0, 2)), []),
+    ],
+    ids=["fewer-radii-than-centers", "nan-center", "inf-radius", "zero-radius", "1d-centers", "no-disks"],
+)
+def test_disk_system_from_arrays_rejects(centers, radii):
+    with pytest.raises(GeometryError):
+        DiskSystem.from_arrays(centers, radii)
+
+
+def test_disk_system_owns_its_arrays():
+    centers, radii = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0])
+    M = DiskSystem.from_arrays(centers, radii)
+    centers[0, 0], radii[0] = 5.0, 7.0
+    assert M.centers[0, 0] == 0.0 and M.radii[0] == 1.0
+    assert M[0].center[0] == 0.0 and M[0].radius == 1.0
+    with pytest.raises(ValueError):
+        M.centers[0, 0] = 5.0
+
+
+def test_scale_and_filtration_build_no_disk(monkeypatch):
+    M = random_system(np.random.default_rng(11), 2, 6)
+    built = []
+    original = Disk.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Disk, "__post_init__", counting)
+    cech_scale(M)
+    build_filtration(M, max_dim=2)
+    assert len(built) == 0
 
 
 def test_preprocess_drops_containing_disk():
