@@ -83,10 +83,12 @@ def _parse_json(text: str) -> DiskSystem:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
-        dim = int(data["dimension"])
+        dim = data["dimension"]
         rows = data["disks"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"JSON must carry 'dimension' and 'disks': {exc}") from None
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError(f"JSON must carry 'dimension' and 'disks': 'dimension' must be an integer, got {dim!r}")
     if dim < 1:
         raise ParseError(f"dimension must be positive, got {dim}")
     if not isinstance(rows, list):

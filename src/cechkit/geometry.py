@@ -231,17 +231,31 @@ def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
 
 
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Which of an (n, d) array of points lie in every disk (with tolerance).
+    """Which of an (n, d) array of points lie in every disk (with tolerance)."""
+    owner = np.zeros(len(points), dtype=np.intp)
+    return contains_all_grouped(system.centers[None], system.radii[None], points[:, None], owner, tol)[:, 0]
 
-    Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
-    difference array stays bounded however many candidates a block holds.
+
+def contains_all_grouped(centers, radii, points, owner, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which points of each row lie in every disk of the row's own group.
+
+    ``centers`` (g, k, d) and ``radii`` (g, k) hold g groups of k disks;
+    row i of the (n, p, d) ``points`` is tested against group ``owner[i]``.
+    Rows are tested CONTAINS_CHUNK points at a time, so the (points x disks
+    x d) difference array stays bounded however many candidates there are.
     """
-    bound = system.radii + tol * (1.0 + system.radii)
-    inside = np.empty(len(points), dtype=bool)
-    for start in range(0, len(points), CONTAINS_CHUNK):
-        chunk = points[start : start + CONTAINS_CHUNK]
-        dist = np.linalg.norm(chunk[:, None, :] - system.centers[None, :, :], axis=2)
-        inside[start : start + CONTAINS_CHUNK] = np.all(dist <= bound, axis=1)
+    bound = radii + tol * (1.0 + radii)
+    n, p = points.shape[:2]
+    step = max(1, CONTAINS_CHUNK // p)
+    inside = np.empty((n, p), dtype=bool)
+    for start in range(0, n, step):
+        # One group broadcasts; several are gathered row by row.
+        rows = slice(0, 1) if len(centers) == 1 else owner[start : start + step]
+        diff = points[start : start + step, :, None, :] - centers[rows][:, None]
+        diff *= diff
+        # The arithmetic of np.linalg.norm(diff, axis=3), without its copies.
+        dist = np.sqrt(np.add.reduce(diff, axis=3))
+        inside[start : start + step] = (dist <= bound[rows][:, None, :]).all(axis=2)
     return inside
 
 
@@ -439,22 +453,14 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     Identical disks deduplicate (first occurrence kept).  The intersection
     set is unchanged.  Returns the reduced system and the kept indices.
     """
-    m = len(M)
-    drop = [False] * m
-    for i in range(m):
-        for j in range(m):
-            if i == j or drop[j]:
-                continue
-            dist = float(np.linalg.norm(M.centers[i] - M.centers[j]))
-            scale = eff_tol(tol, M.radii[i] + M.radii[j])
-            identical = dist <= scale and abs(M.radii[i] - M.radii[j]) <= scale
-            if identical:
-                if i < j:
-                    drop[j] = True
-            elif dist + M.radii[i] <= M.radii[j] + scale:
-                # D_i inside D_j: D_j is redundant for the intersection.
-                drop[j] = True
-    kept = tuple(i for i in range(m) if not drop[i])
+    c, r = M.centers, M.radii
+    dist = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
+    scale = tol * (1.0 + np.abs(r[:, None] + r[None, :]))
+    identical = (dist <= scale) & (np.abs(r[:, None] - r[None, :]) <= scale)
+    # Entry (i, j) drops D_j: a later duplicate of D_i, or a disk containing
+    # D_i (redundant for the intersection).
+    drop = np.triu(identical, 1) | (~identical & (dist + r[:, None] <= r[None, :] + scale))
+    kept = tuple(int(i) for i in np.flatnonzero(~drop.any(axis=0)))
     return M.subsystem(kept), kept
 
 
@@ -514,17 +520,17 @@ def _subset_poles(
 
 @dataclass(frozen=True)
 class _SizeBatch:
-    """Radius-free data of all C(m, k) subsets of one size k >= 2.
+    """Radius-free data of every (group, subset) row of one subset size j >= 2.
 
-    ``fast`` marks the full-rank subsets with no degenerate axis; the other
-    rows, listed in ``fallback``, hold placeholders.  ``unit[s, q]`` is the
-    unit direction from the center toward the e_q-north pole (None when
-    k = d+1, which yields points only).
+    ``local`` lists the C(k, j) subsets of a group of k disks; row
+    g * C(k, j) + t is subset ``local[t]`` of group g.  ``fast`` marks the
+    full-rank rows with no degenerate axis; the others hold placeholders.
+    ``unit[s, q]`` is the unit direction from the center toward the
+    e_q-north pole (None when j = d+1, which yields points only).
     """
 
-    subsets: np.ndarray
+    local: np.ndarray
     fast: np.ndarray
-    fallback: np.ndarray
     members: np.ndarray
     normals: np.ndarray
     gram: np.ndarray
@@ -532,41 +538,59 @@ class _SizeBatch:
     unit: np.ndarray | None
 
 
-class PoleEngine:
-    """Pole candidates of every subset of up to d+1 disks with fixed centers.
+def combination_rows(k: int, j: int) -> np.ndarray:
+    """The (C(k, j), j) array of the j-subsets of range(k), lexicographic."""
+    n = math.comb(k, j)
+    return np.fromiter(chain.from_iterable(combinations(range(k), j)), np.intp, n * j).reshape(n, j)
 
-    The Gram matrices, their rank test and the pole directions depend on the
-    centers only; they are computed once per subset size, on first use, and
-    reused for any radii (every bisection step of :func:`cech_scale`).  Each
-    radius-dependent block costs one batched solve.  Rank-deficient subsets
-    and subsets with a degenerate axis take the per-subset path
-    (:func:`subset_boundary`, :func:`pole_directions`, :func:`_pole_pair`).
+
+class PoleEngine:
+    """Pole candidates of every subset of up to d+1 disks of each group.
+
+    A group is one subsystem, a row of disk indices into ``centers``; the
+    default is the single group of all disks.  The Gram matrices, their rank
+    test and the pole directions depend on the centers only; they are
+    computed once per subset size, on first use, and reused for any radii
+    (every bisection step of :func:`cech_scale`, every subsystem of a
+    filtration).  Each radius-dependent block costs one batched solve.
+    Rank-deficient subsets and subsets with a degenerate axis take the
+    per-subset path (:func:`subset_boundary`, :func:`pole_directions`,
+    :func:`_pole_pair`) on their own group, with group-local indices.
     """
 
-    def __init__(self, centers: np.ndarray, tol: float = DEFAULT_TOL):
+    def __init__(self, centers: np.ndarray, groups: np.ndarray | None = None, tol: float = DEFAULT_TOL):
         self.centers = np.asarray(centers, dtype=float)
+        m, d = self.centers.shape
+        self.groups = np.arange(m)[None] if groups is None else np.asarray(groups, dtype=np.intp)
+        self.group_centers = self.centers[self.groups]
+        self.dimension = d
+        self.max_size = min(self.groups.shape[1], d + 1)
         self.tol = tol
+        self._singles = np.arange(self.groups.shape[1])[:, None]
         self._sizes: dict[int, _SizeBatch] = {}
 
-    def _size(self, k: int) -> _SizeBatch:
-        batch = self._sizes.get(k)
+    def local(self, j: int) -> np.ndarray:
+        """The (C(k, j), j) group-local index rows of the size-j subsets."""
+        return self._size(j).local if j > 1 else self._singles
+
+    def _size(self, j: int) -> _SizeBatch:
+        batch = self._sizes.get(j)
         if batch is None:
-            batch = self._sizes[k] = self._prepare(k)
+            local = combination_rows(self.groups.shape[1], j)
+            batch = self._sizes[j] = self._prepare(local, self.groups[:, local].reshape(-1, j))
         return batch
 
-    def _prepare(self, k: int) -> _SizeBatch:
-        m, d = self.centers.shape
-        n = math.comb(m, k)
-        subsets = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp, n * k)
-        subsets = subsets.reshape(n, k)
-        members = self.centers[subsets]
+    def _prepare(self, local: np.ndarray, rows: np.ndarray) -> _SizeBatch:
+        """Radius-free data of an (N, j) array of disk index rows."""
+        d, j = self.dimension, rows.shape[1]
+        members = self.centers[rows]
         normals = members[:, :-1] - members[:, -1:]
         gram = normals @ normals.transpose(0, 2, 1)
         fast = ~_rank_deficient(gram)[0]
         # Identity placeholders keep the batched solves defined.
-        gram[~fast] = np.eye(k - 1)
+        gram[~fast] = np.eye(j - 1)
         unit = None
-        if k <= d:
+        if j <= d:
             # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
             proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
             norms = np.linalg.norm(proj, axis=1)
@@ -575,9 +599,8 @@ class PoleEngine:
             proj /= norms[:, None, :]
             unit = proj.transpose(0, 2, 1)
         return _SizeBatch(
-            subsets=subsets,
+            local=local,
             fast=fast,
-            fallback=np.flatnonzero(~fast),
             members=members,
             normals=normals,
             gram=gram,
@@ -585,54 +608,57 @@ class PoleEngine:
             unit=unit,
         )
 
-    def blocks(self, M: DiskSystem):
-        """Yield ``(subsets, points, jittered)`` per subset size, ascending.
+    def block(self, j: int, active: np.ndarray, radii: np.ndarray):
+        """Candidates of the size-j subsets of the ``active`` groups.
 
-        ``M`` carries the engine's centers and the radii to use.  ``subsets``
-        is an (n, k) index array in lexicographic order, ``points`` is
-        (n, 2d, d): for each axis ascending, the south then the north pole
-        (a single-point intersection repeats its point), and ``jittered``
-        marks subsets computed from perturbed centers.  Only subsets that
-        yield candidates appear.
+        ``radii`` (a, k) are the radii of those groups.  Returns ``(index,
+        points, jittered)``: ascending flat indices into the (a, C(k, j))
+        grid of (group, subset) rows of the rows that yield candidates, their
+        (n, 2d, d) points and their jitter flags (see :func:`candidate_poles`).
         """
-        m, d = self.centers.shape
-        axes = np.arange(d)
-        points = np.repeat(self.centers[:, None, :], 2 * d, axis=1).reshape(m, d, 2, d)
-        points[:, axes, 0, axes] -= M.radii[:, None]
-        points[:, axes, 1, axes] += M.radii[:, None]
-        yield np.arange(m)[:, None], points.reshape(m, 2 * d, d), np.zeros(m, dtype=bool)
-        for k in range(2, min(m, d + 1) + 1):
-            yield self._block(M, k)
-
-    def _block(self, M: DiskSystem, k: int):
-        d, tol = M.dimension, self.tol
-        batch = self._size(k)
-        radii = M.radii[batch.subsets]
-        sq = radii**2
-        rhs = 0.5 * (sq[:, -1:] + batch.sq_norms - sq[:, :-1])
-        lam = np.linalg.solve(batch.gram, rhs[..., None])
-        center = (lam.transpose(0, 2, 1) @ batch.normals)[:, 0] + batch.members[:, -1]
-        diff = center[:, None, :] - batch.members
+        d, tol = self.dimension, self.tol
+        if j == 1:
+            # Every disk boundary: c -/+ r e_q per axis.
+            points = np.repeat(self.group_centers[active].reshape(-1, 1, d), 2 * d, axis=1).reshape(-1, d, 2, d)
+            axes = np.arange(d)
+            points[:, axes, 0, axes] -= radii.reshape(-1, 1)
+            points[:, axes, 1, axes] += radii.reshape(-1, 1)
+            return np.arange(len(points)), points.reshape(-1, 2 * d, d), np.zeros(len(points), dtype=bool)
+        batch = self._size(j)
+        count = len(batch.local)
+        if len(active) == len(self.groups):
+            take = slice(None)
+        else:
+            take = (active[:, None] * count + np.arange(count)).ravel()
+        fast, members, normals = batch.fast[take], batch.members[take], batch.normals[take]
+        rad = radii[:, batch.local].reshape(-1, j)
+        sq = rad**2
+        rhs = 0.5 * (sq[:, -1:] + batch.sq_norms[take] - sq[:, :-1])
+        lam = np.linalg.solve(batch.gram[take], rhs[..., None])
+        center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
+        diff = center[:, None, :] - members
         diff *= diff
-        r2 = np.mean(sq - np.sum(diff, axis=2), axis=1)
-        scale = 1.0 + np.max(radii, axis=1)
+        r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
+        scale = 1.0 + np.max(rad, axis=1)
         tol_sq = tol * scale * scale
         # The rules of reduce_sphere_system: a point within tol_sq of zero
-        # radius, a sphere above it while k <= d, else empty.
-        sphere = (batch.fast & (r2 > tol_sq)) if batch.unit is not None else np.zeros_like(batch.fast)
-        keep = sphere | (batch.fast & (np.abs(r2) <= tol_sq))
+        # radius, a sphere above it while j <= d, else empty.
+        sphere = (fast & (r2 > tol_sq)) if batch.unit is not None else np.zeros_like(fast)
+        keep = sphere | (fast & (np.abs(r2) <= tol_sq))
         index = np.flatnonzero(keep)
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
         if sphere.any():
-            offset = np.sqrt(r2[sphere])[:, None, None] * batch.unit[sphere]
+            offset = np.sqrt(r2[sphere])[:, None, None] * batch.unit[take][sphere]
             c = center[sphere][:, None, :]
             points[sphere[index]] = np.stack([c - offset, c + offset], axis=2).reshape(-1, 2 * d, d)
         jittered = np.zeros(len(index), dtype=bool)
         slow = []
-        for j in batch.fallback:
-            poles, jit = _subset_poles(M, tuple(int(i) for i in batch.subsets[j]), tol)
+        for row in np.flatnonzero(~fast):
+            g, t = divmod(int(row), count)
+            group = DiskSystem.from_arrays(self.group_centers[active[g]], radii[g])
+            poles, jit = _subset_poles(group, tuple(int(i) for i in batch.local[t]), tol)
             if poles is not None:
-                slow.append((j, poles, jit))
+                slow.append((row, poles, jit))
         if slow:
             rows, extra, jits = zip(*slow)
             index = np.concatenate([index, rows])
@@ -640,18 +666,24 @@ class PoleEngine:
             index = index[order]
             points = np.concatenate([points, np.stack(extra)])[order]
             jittered = np.concatenate([jittered, jits])[order]
-        return batch.subsets[index], points, jittered
+        return index, points, jittered
 
 
 def candidate_poles(M: DiskSystem, tol: float = DEFAULT_TOL):
     """Enumerate every pole candidate of the i-spheres of a disk system.
 
-    Yields one block ``(subsets, points, jittered)`` per subset size (see
-    :meth:`PoleEngine.blocks`), in canonical order: subset size ascending,
-    subsets lexicographic, axes ascending, south before north.  A
+    Yields one block ``(subsets, points, jittered)`` per subset size, in
+    canonical order: subset size ascending, subsets lexicographic, axes
+    ascending, south before north.  ``subsets`` is an (n, j) index array,
+    ``points`` is (n, 2d, d), and ``jittered`` marks subsets computed from
+    perturbed centers; only subsets that yield candidates appear.  A
     single-point boundary intersection contributes its point for every axis
     and orientation.  Subset size is capped at min(m, d+1): larger boundary
     intersections are generically empty and Helly's theorem covers decision
     completeness.
     """
-    yield from PoleEngine(M.centers, tol).blocks(M)
+    engine = PoleEngine(M.centers, tol=tol)
+    one = np.zeros(1, dtype=np.intp)
+    for j in range(1, engine.max_size + 1):
+        index, points, jittered = engine.block(j, one, M.radii[None])
+        yield engine.local(j)[index], points, jittered

@@ -4,14 +4,26 @@ This is the enumeration the package used before :class:`cechkit.geometry.PoleEng
 one :func:`subset_boundary` call per subset, then :func:`pole_directions` and
 :func:`_pole_pair` for spheres, one :class:`Pole` per candidate and one
 :func:`contains_all_batch` call per subset.  Its consumers below keep the
-semantics of the package's decision, minimal box and SVG picture.
+semantics of the package's decision, minimal box and SVG picture, and of the
+filtration before its subsystems were bisected in lockstep.  The loop form of
+:func:`cechkit.geometry.preprocess` is kept here as well.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from cechkit import Box, CechDecision, DegenerateConfiguration, ScaleReport, jung_factor, rescale, rips_scale
+from cechkit import (
+    Box,
+    CechDecision,
+    DegenerateConfiguration,
+    Filtration,
+    ScaleReport,
+    WeightedSimplex,
+    jung_factor,
+    rescale,
+    rips_scale,
+)
 from cechkit.geometry import (
     DEFAULT_TOL,
     NORTH,
@@ -22,6 +34,7 @@ from cechkit.geometry import (
     _pole_pair,
     boundary_poles,
     contains_all_batch,
+    eff_tol,
     pole_directions,
     subset_boundary,
 )
@@ -114,6 +127,42 @@ def cech_scale(M, eta=1e-6, tol=DEFAULT_TOL, decide=is_cech_system):
         warn = warn or decision.degeneracy_warning
         witness = decision.witness
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness, warn)
+
+
+def build_filtration(M, max_dim, eta=1e-6, tol=DEFAULT_TOL):
+    """One :func:`cech_scale` per subset of size >= 3, then the facet clamp."""
+    m = len(M)
+    scales = {(i,): 0.0 for i in range(m)}
+    for i, j in combinations(range(m), 2):
+        dist = float(np.linalg.norm(M.centers[i] - M.centers[j]))
+        scales[(i, j)] = dist / float(M.radii[i] + M.radii[j])
+    for k in range(3, max_dim + 2):
+        for subset in combinations(range(m), k):
+            scale = cech_scale(M.subsystem(subset), eta, tol).cech_scale
+            facet_max = max(scales[subset[:p] + subset[p + 1 :]] for p in range(k))
+            scales[subset] = max(scale, facet_max)
+    simplices = sorted((WeightedSimplex(v, s) for v, s in scales.items()), key=WeightedSimplex.sort_key)
+    return Filtration(tuple(simplices), max_dim)
+
+
+def preprocess(M, tol=DEFAULT_TOL):
+    """Kept indices of :func:`cechkit.geometry.preprocess`, one disk pair at a time."""
+    m = len(M)
+    drop = [False] * m
+    for i in range(m):
+        for j in range(m):
+            if i == j or drop[j]:
+                continue
+            dist = float(np.linalg.norm(M.centers[i] - M.centers[j]))
+            scale = eff_tol(tol, M.radii[i] + M.radii[j])
+            identical = dist <= scale and abs(M.radii[i] - M.radii[j]) <= scale
+            if identical:
+                if i < j:
+                    drop[j] = True
+            elif dist + M.radii[i] <= M.radii[j] + scale:
+                # D_i inside D_j: D_j is redundant for the intersection.
+                drop[j] = True
+    return tuple(i for i in range(m) if not drop[i])
 
 
 def aabb_minimal(M, tol=DEFAULT_TOL):

@@ -106,6 +106,10 @@ def test_parse_json_errors():
                      id="radius-1e400-int"),
         pytest.param('{"dimension": 2, "disks": [[1%s, 0, 1]]}' % ("0" * 400), "too large for a float",
                      id="coordinate-1e400-int"),
+        pytest.param('{"dimension": 2.7, "disks": [[0, 0, 1], [1, 0, 1]]}', "'dimension' must be an integer",
+                     id="dimension-float"),
+        pytest.param('{"dimension": "2", "disks": [[0, 0, 1], [1, 0, 1]]}', "'dimension' must be an integer",
+                     id="dimension-string"),
     ],
 )
 def test_parse_json_malformed_rows_are_usage_errors(tmp_path, capsys, text, match):

@@ -1,12 +1,14 @@
 """Batched pole engine against the per-subset reference enumeration."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import reference_poles as ref
 from cechkit import DiskSystem, aabb_minimal, build_filtration, cech_scale, is_cech_system, rescale, rips_scale
 from cechkit.cli import render_svg
-from cechkit.geometry import CONTAINS_CHUNK, candidate_poles
+from cechkit.geometry import CONTAINS_CHUNK, PoleEngine, candidate_poles
 from conftest import random_system
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
@@ -102,25 +104,57 @@ def test_duplicated_disks_yield_jittered_candidates():
     assert warned == {"duplicate-2d", "duplicate-3d"}
 
 
+@pytest.mark.parametrize("name", ["duplicate-2d", "duplicate-3d"])
+def test_grouped_blocks_match_each_subsystems_own_engine(name):
+    # Row g of a grouped engine is subsystem M[groups[g]] with its own local
+    # indices (and so its own jitter seeds): the same candidates, bit for bit.
+    M = DiskSystem.from_arrays(*DEGENERATE[name])
+    jittered_rows = 0
+    for k in (3, 4):
+        groups = np.array(list(combinations(range(len(M)), k)))
+        engine = PoleEngine(M.centers, groups)
+        for active in (np.arange(len(groups)), np.arange(0, len(groups), 2)):
+            radii = 1.1 * M.radii[groups[active]]
+            for j in range(1, engine.max_size + 1):
+                index, points, jittered = engine.block(j, active, radii)
+                owner, row = np.divmod(index, len(engine.local(j)))
+                for a, g in enumerate(active):
+                    want = PoleEngine(M.centers[groups[g]]).block(j, np.zeros(1, dtype=np.intp), radii[a][None])
+                    assert np.array_equal(row[owner == a], want[0])
+                    assert np.array_equal(points[owner == a], want[1])
+                    assert np.array_equal(jittered[owner == a], want[2])
+                jittered_rows += int(jittered.sum())
+    assert jittered_rows > 0
+
+
 def test_cech_scale_matches_per_step_decisions_bit_for_bit():
     rng = np.random.default_rng(341)
-    for d in (2, 3):
-        for m in range(2, 8):
-            M = random_system(rng, d, m)
-            got = cech_scale(M, 1e-6)
-            want = ref.cech_scale(M, 1e-6, decide=is_cech_system)
-            assert got.cech_scale == want.cech_scale
-            assert got.bracket == want.bracket
-            assert got.iterations == want.iterations
-            assert got.degeneracy_warning == want.degeneracy_warning
-            assert np.array_equal(got.witness, want.witness)
+    systems = [random_system(rng, d, m) for d in (2, 3) for m in range(2, 8)]
+    systems += [M for name in sorted(DEGENERATE) for M in _scalings(*DEGENERATE[name])]
+    warned = 0
+    for M in systems:
+        got = cech_scale(M, 1e-6)
+        want = ref.cech_scale(M, 1e-6, decide=is_cech_system)
+        assert got.cech_scale == want.cech_scale
+        assert got.bracket == want.bracket
+        assert got.iterations == want.iterations
+        assert got.degeneracy_warning == want.degeneracy_warning
+        assert np.array_equal(got.witness, want.witness)
+        warned += want.degeneracy_warning
+    # The duplicated-disk systems jitter, so the warning is exercised.
+    assert warned > 0
 
 
-def test_filtration_unchanged_against_reference(monkeypatch):
+def test_filtration_unchanged_against_reference():
     rng = np.random.default_rng(347)
-    systems = [random_system(rng, 2, 6), random_system(rng, 3, 5)]
-    got = [build_filtration(M, 2) for M in systems]
-    monkeypatch.setattr("cechkit.filtration.cech_scale", ref.cech_scale)
-    want = [build_filtration(M, 2) for M in systems]
-    for a, b in zip(got, want):
-        assert [(s.vertices, s.scale) for s in a.simplices] == [(s.vertices, s.scale) for s in b.simplices]
+    inputs = [(random_system(rng, 2, 6), 2), (random_system(rng, 3, 5), 2)]
+    # k = 4 > d + 1 at d = 2: sub-subsets are capped at d + 1 = 3 disks.
+    inputs.append((random_system(rng, 2, 6), 3))
+    # The jitter fallback, reached with subsystem-local indices.
+    inputs += [(DiskSystem.from_arrays(*DEGENERATE[name]), 3) for name in ("duplicate-2d", "collinear-2d-extra")]
+    # Three coincident centers: the Rips scale of triple (0, 1, 2) is 0.
+    coincident = DiskSystem.from_arrays([[0, 0], [0, 0], [0, 0], [1, 0.3], [0.2, 0.9]], [1.0, 0.7, 0.5, 0.8, 0.9])
+    inputs.append((coincident, 3))
+    for M, max_dim in inputs:
+        got, want = build_filtration(M, max_dim), ref.build_filtration(M, max_dim)
+        assert [(s.vertices, s.scale) for s in got.simplices] == [(s.vertices, s.scale) for s in want.simplices]

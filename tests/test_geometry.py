@@ -26,6 +26,7 @@ from cechkit import (
     preprocess,
     reduce_sphere_system,
 )
+import reference_poles as ref
 from conftest import random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -439,3 +440,25 @@ def test_preprocess_keeps_general_position():
     M = DiskSystem.from_arrays([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     reduced, kept = preprocess(M)
     assert kept == (0, 1)
+
+
+def test_preprocess_matches_pairwise_loop():
+    rng = np.random.default_rng(433)
+    dropped = 0
+    for d in (2, 3):
+        for m in (2, 5, 9, 14):
+            M = random_system(rng, d, m)
+            pick = rng.integers(0, m, 4)
+            # Two duplicates (one off by far less than tol), a disk around
+            # one disk and a disk nested in another, shuffled in.
+            centers = np.vstack([M.centers, M.centers[pick[:2]] + [[0.0], [1e-12]],
+                                 M.centers[pick[2]] + 0.01, M.centers[pick[3]]])
+            radii = np.concatenate([M.radii, M.radii[pick[:2]],
+                                    [2.0 * M.radii[pick[2]] + 0.1, 0.3 * M.radii[pick[3]]]])
+            order = rng.permutation(len(radii))
+            N = DiskSystem.from_arrays(centers[order], radii[order])
+            reduced, kept = preprocess(N)
+            assert kept == ref.preprocess(N)
+            np.testing.assert_array_equal(reduced.centers, N.centers[list(kept)])
+            dropped += len(N) - len(kept)
+    assert dropped >= 3 * 8
