@@ -10,6 +10,7 @@ from .cech import (
     CechDecision,
     ScaleReport,
     cech_scale,
+    exact_cech_scale,
     is_cech_system,
     jung_factor,
     rescale,
@@ -67,6 +68,7 @@ __all__ = [
     "build_filtration",
     "cech_scale",
     "contains",
+    "exact_cech_scale",
     "intersect_two_spheres",
     "is_cech_system",
     "jung_factor",

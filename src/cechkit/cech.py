@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, DiskSystem, PoleEngine, contains_all_grouped
+from .geometry import DEFAULT_TOL, DiskSystem, PoleEngine, combination_rows, contains_all_batch, gram_rows
 
 
 def jung_factor(d: int) -> float:
@@ -65,53 +65,27 @@ def rescale(M: DiskSystem, lam: float) -> DiskSystem:
     return DiskSystem.from_arrays(M.centers, M.radii * lam)
 
 
-def _first_witness(engine: PoleEngine, active: np.ndarray, radii: np.ndarray, tol: float):
-    """Per active group of ``engine`` with the given (a, k) radii: the first
-    candidate, in canonical order, contained in all disks of the group.
+def _first_witness(engine: PoleEngine, M: DiskSystem, tol: float):
+    """The first candidate of ``engine``, in canonical order, contained in
+    all disks of M (whose centers are the engine's).
 
-    Returns ``(size, row, witness, warn)`` per group: the witness's subset
-    is row ``row`` of ``engine.local(size)``, and size 0 marks a group with
-    no witness.  The degeneracy warning covers the subsets enumerated up to
-    the witness.
+    Returns ``(subset, witness, warn)``, with subset and witness None when
+    no candidate lies in every disk.  The degeneracy warning covers the
+    subsets enumerated up to the witness.
     """
-    a, d = len(active), engine.dimension
-    witness, warn = np.full((a, d), np.nan), np.zeros(a, dtype=bool)
-    size, row = np.zeros(a, dtype=np.intp), np.zeros(a, dtype=np.intp)
-    # The undecided groups: positions, group numbers, centers and radii.
-    todo, centers = np.arange(a), engine.group_centers[active]
+    warn = False
     for j in range(1, engine.max_size + 1):
-        index, points, jittered = engine.block(j, active, radii)
+        index, points, jittered = engine.block(j, M.radii)
         if not len(index):
             continue
-        count = len(engine.local(j))
-        owner = index // count
-        hits = np.flatnonzero(contains_all_grouped(centers, radii, points, owner, tol))
-        jitter = jittered.any()
-        if not hits.size and not jitter:
-            continue
-        # Candidates are sorted by group: keep each group's first hit.
-        rows = hits // points.shape[1]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = owner[rows[1:]] != owner[rows[:-1]]
-        hits, rows = hits[first], rows[first]
-        groups = owner[rows]
-        if jitter:
-            # A jittered subset counts up to its group's witness subset.
-            limit = np.full(len(todo), len(index))
-            limit[groups] = rows
-            jit = np.flatnonzero(jittered)
-            warn[todo[owner[jit][jit <= limit[owner[jit]]]]] = True
-        if not hits.size:
-            continue
-        won = todo[groups]
-        witness[won] = points.reshape(-1, d)[hits]
-        size[won], row[won] = j, index[rows] % count
-        undecided = np.ones(len(todo), dtype=bool)
-        undecided[groups] = False
-        if not undecided.any():
-            break
-        todo, active, centers, radii = todo[undecided], active[undecided], centers[undecided], radii[undecided]
-    return size, row, witness, warn
+        points = points.reshape(-1, engine.dimension)
+        hits = np.flatnonzero(contains_all_batch(M, points, tol))
+        if hits.size:
+            row = hits[0] // (2 * engine.dimension)
+            warn = warn or bool(jittered[: row + 1].any())
+            return engine.subsets(j)[index[row]], points[hits[0]].copy(), warn
+        warn = warn or bool(jittered.any())
+    return None, None, warn
 
 
 def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
@@ -124,58 +98,49 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     """
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
-    engine = PoleEngine(M.centers, tol=tol)
-    size, row, witness, warn = _first_witness(engine, np.zeros(1, dtype=np.intp), M.radii[None], tol)
-    if not size[0]:
-        return CechDecision(False, degeneracy_warning=bool(warn[0]))
-    subset = tuple(int(i) for i in engine.local(size[0])[row[0]])
-    return CechDecision(True, witness=witness[0], generating_subset=subset, degeneracy_warning=bool(warn[0]))
+    subset, witness, warn = _first_witness(PoleEngine(M.centers, tol=tol), M, tol)
+    if subset is None:
+        return CechDecision(False, degeneracy_warning=warn)
+    return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
 
 
-def bisect_scales(engine: PoleEngine, radii: np.ndarray, nu: np.ndarray, eta: float, tol: float = DEFAULT_TOL):
-    """Bisect the Cech scales of every group of ``engine`` in lockstep.
+def bisect_scales(M: DiskSystem, nu: float, eta: float, tol: float = DEFAULT_TOL):
+    """Bisect the Cech scale of M, whose Rips scale is ``nu``.
 
-    ``radii`` (n, k) are the groups' radii and ``nu`` (n,) their Rips
-    scales.  A group intersecting at nu stops there (exact for one or two
-    disks); the others bisect inside [nu, sqrt(2d/(d+1)) nu] while their
-    bracket is wider than eta, one shared decision per step for all of
-    them.  Returns ``(lo, hi, iterations, witness, found, warn)`` per group:
-    hi is the certified scale, ``witness[i]`` a point of group i's disks
-    rescaled to hi (valid where ``found``), and ``warn`` the degeneracy
-    warning of every decision made for the group.
+    M stops at nu when its nu-rescaling intersects (exact for one or two
+    disks); otherwise the bracket [nu, sqrt(2d/(d+1)) nu] is halved while it
+    is wider than eta.  Returns ``(lo, hi, iterations, witness, warn)``: hi
+    is the certified scale, ``witness`` a point of M rescaled to hi, and
+    ``warn`` the degeneracy warning of every decision made.
     """
-    n = len(nu)
-    lo, hi = nu.copy(), nu.copy()
-    iterations = np.zeros(n, dtype=int)
-    warn = np.zeros(n, dtype=bool)
-    # nu = 0 (coincident centers): every rescaling intersects.
-    found = nu == 0.0
-    witness = np.full((n, engine.dimension), np.nan)
-    witness[found] = engine.group_centers[found, 0]
+    if nu == 0.0:
+        # Coincident centers: every rescaling intersects.
+        return 0.0, 0.0, 0, M.centers[0].copy(), False
+    # Rescaling keeps the centers, so one engine serves every step.
+    engine = PoleEngine(M.centers, tol=tol)
+    warn = False
 
-    def decide(active, lam):
-        size, _, point, jittered = _first_witness(engine, active, radii[active] * lam[:, None], tol)
-        hit = size > 0
-        warn[active] |= jittered
-        witness[active[hit]] = point[hit]
-        found[active[hit]] = True
-        return hit
+    def decide(lam):
+        nonlocal warn
+        _, point, jittered = _first_witness(engine, rescale(M, lam), tol)
+        warn = warn or jittered
+        return point
 
-    todo = np.flatnonzero(~found)
-    miss = todo[~decide(todo, nu[todo])]
-    hi[miss] = jung_factor(engine.dimension) * nu[miss]
-    active = miss[hi[miss] - lo[miss] > eta]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        hit = decide(active, mid)
-        iterations[active] += 1
-        hi[active[hit]] = mid[hit]
-        lo[active[~hit]] = mid[~hit]
-        active = active[hi[active] - lo[active] > eta]
-    late = miss[~found[miss]]
-    if late.size:
-        decide(late, hi[late])
-    return lo, hi, iterations, witness, found, warn
+    witness = decide(nu)
+    if witness is not None:
+        return nu, nu, 0, witness, warn
+    lo, hi, iterations = nu, jung_factor(M.dimension) * nu, 0
+    while hi - lo > eta:
+        mid = 0.5 * (lo + hi)
+        point = decide(mid)
+        iterations += 1
+        if point is None:
+            lo = mid
+        else:
+            hi, witness = mid, point
+    if witness is None:
+        witness = decide(hi)
+    return lo, hi, iterations, witness, warn
 
 
 def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> ScaleReport:
@@ -189,11 +154,48 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     nu = rips_scale(M)
-    # Rescaling keeps the centers, so one engine serves every step.
-    engine = PoleEngine(M.centers, tol=tol)
-    lo, hi, iterations, witness, found, warn = bisect_scales(engine, M.radii[None], np.array([nu]), eta, tol)
-    return ScaleReport(
-        nu, float(hi[0]), eta, (float(lo[0]), float(hi[0])), int(iterations[0]),
-        witness=witness[0] if found[0] else None,
-        degeneracy_warning=bool(warn[0]),
-    )
+    lo, hi, iterations, witness, warn = bisect_scales(M, nu, eta, tol)
+    return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
+
+
+def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Closed-form Cech scale of each disk subset of an (N, j) index array.
+
+    With t = lambda^2 the Gram right-hand side of a subset T is affine in t,
+    so the center of its rescaled boundary spheres is p(t) = c + u + t v
+    and their squared radius r^2(t) = -A t^2 + B t - C is a concave
+    quadratic.  Its smaller root t_T is where the spheres first meet, in
+    one point.  When that point lies in the convex hull of T's centers
+    (barycentric coordinates >= 0, the KKT condition of
+    min_x max_i ||x - c_i|| / r_i) sqrt(t_T) is T's Cech scale; the
+    result is NaN otherwise, and for affinely dependent centers, where a
+    proper subset carries the scale.
+    """
+    members, normals, gram, full = gram_rows(centers, rows)
+    sq = radii[rows] ** 2
+    # Columns: the constant part and the t-coefficient of the right-hand side.
+    rhs = 0.5 * np.stack([np.sum(normals**2, axis=2), sq[:, -1:] - sq[:, :-1]], axis=2)
+    coef = np.linalg.solve(gram, rhs)
+    u, v = (coef.transpose(0, 2, 1) @ normals).transpose(1, 0, 2)
+    A, C = np.sum(v * v, axis=1), np.sum(u * u, axis=1)
+    B = sq[:, -1] - 2.0 * np.sum(u * v, axis=1)
+    disc = B * B - 4.0 * A * C
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # Cancellation-free smaller root; A = 0 (equal radii) gives C / B.
+        t = 2.0 * C / (B + np.sqrt(disc))
+        bary = coef[..., 0] + t[:, None] * coef[..., 1]
+        valid = full & (disc >= 0.0) & (B > 0.0) & (bary >= 0.0).all(axis=1) & (bary.sum(axis=1) <= 1.0)
+        return np.where(valid, np.sqrt(t), np.nan)
+
+
+def exact_cech_scale(M: DiskSystem) -> float:
+    """Exact Cech scale of M: min over x of max_i ||x - c_i|| / r_i.
+
+    The problem is LP-type of combinatorial dimension d+1, so the scale is
+    the largest valid :func:`subset_roots` root over the subsets of at most
+    d+1 disks; pairs give their Rips ratio, and one disk gives 0.
+    """
+    scale = rips_scale(M)
+    for j in range(3, min(len(M), M.dimension + 1) + 1):
+        scale = float(np.fmax.reduce(subset_roots(M.centers, M.radii, combination_rows(len(M), j)), initial=scale))
+    return scale

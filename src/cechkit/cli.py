@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -312,6 +313,13 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cech-kit",
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="disk system file (CSV or JSON)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="geometric tolerance")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="geometric tolerance (finite, >= 0)")
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument(
         "--input-format", choices=["auto", "csv", "json"], default="auto"
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_aabb)
     p = sub.add_parser("filtration", parents=[common], help="filtered Cech complex")
     p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--eta", type=float, default=1e-6, help="per-simplex scale precision")
+    p.add_argument("--eta", type=float, default=1e-6, help="accepted; scales are exact")
     p.set_defaults(func=_cmd_filtration)
     p = sub.add_parser("plot", parents=[common], help="SVG plot (2D only)")
     p.add_argument("--output", help="write SVG here instead of stdout")

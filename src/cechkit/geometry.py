@@ -231,31 +231,18 @@ def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
 
 
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Which of an (n, d) array of points lie in every disk (with tolerance)."""
-    owner = np.zeros(len(points), dtype=np.intp)
-    return contains_all_grouped(system.centers[None], system.radii[None], points[:, None], owner, tol)[:, 0]
+    """Which of an (n, d) array of points lie in every disk (with tolerance).
 
-
-def contains_all_grouped(centers, radii, points, owner, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Which points of each row lie in every disk of the row's own group.
-
-    ``centers`` (g, k, d) and ``radii`` (g, k) hold g groups of k disks;
-    row i of the (n, p, d) ``points`` is tested against group ``owner[i]``.
-    Rows are tested CONTAINS_CHUNK points at a time, so the (points x disks
-    x d) difference array stays bounded however many candidates there are.
+    Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
+    difference array stays bounded however many candidates there are.
     """
-    bound = radii + tol * (1.0 + radii)
-    n, p = points.shape[:2]
-    step = max(1, CONTAINS_CHUNK // p)
-    inside = np.empty((n, p), dtype=bool)
-    for start in range(0, n, step):
-        # One group broadcasts; several are gathered row by row.
-        rows = slice(0, 1) if len(centers) == 1 else owner[start : start + step]
-        diff = points[start : start + step, :, None, :] - centers[rows][:, None]
+    bound = system.radii + tol * (1.0 + system.radii)
+    inside = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), CONTAINS_CHUNK):
+        diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers
         diff *= diff
-        # The arithmetic of np.linalg.norm(diff, axis=3), without its copies.
-        dist = np.sqrt(np.add.reduce(diff, axis=3))
-        inside[start : start + step] = (dist <= bound[rows][:, None, :]).all(axis=2)
+        # The arithmetic of np.linalg.norm(diff, axis=2), without its copies.
+        inside[start : start + CONTAINS_CHUNK] = (np.sqrt(np.add.reduce(diff, axis=2)) <= bound).all(axis=1)
     return inside
 
 
@@ -520,16 +507,15 @@ def _subset_poles(
 
 @dataclass(frozen=True)
 class _SizeBatch:
-    """Radius-free data of every (group, subset) row of one subset size j >= 2.
+    """Radius-free data of the j-subsets (j >= 2) of an engine's disks.
 
-    ``local`` lists the C(k, j) subsets of a group of k disks; row
-    g * C(k, j) + t is subset ``local[t]`` of group g.  ``fast`` marks the
-    full-rank rows with no degenerate axis; the others hold placeholders.
-    ``unit[s, q]`` is the unit direction from the center toward the
-    e_q-north pole (None when j = d+1, which yields points only).
+    ``rows`` lists the C(m, j) subsets; ``fast`` marks the full-rank rows
+    with no degenerate axis, the others hold placeholders.  ``unit[s, q]``
+    is the unit direction from the center toward the e_q-north pole (None
+    when j = d+1, which yields points only).
     """
 
-    local: np.ndarray
+    rows: np.ndarray
     fast: np.ndarray
     members: np.ndarray
     normals: np.ndarray
@@ -544,51 +530,56 @@ def combination_rows(k: int, j: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(combinations(range(k), j)), np.intp, n * j).reshape(n, j)
 
 
-class PoleEngine:
-    """Pole candidates of every subset of up to d+1 disks of each group.
+def gram_rows(centers: np.ndarray, rows: np.ndarray):
+    """Members, normals and Gram matrices of an (N, j) array of index rows.
 
-    A group is one subsystem, a row of disk indices into ``centers``; the
-    default is the single group of all disks.  The Gram matrices, their rank
-    test and the pole directions depend on the centers only; they are
-    computed once per subset size, on first use, and reused for any radii
-    (every bisection step of :func:`cech_scale`, every subsystem of a
-    filtration).  Each radius-dependent block costs one batched solve.
-    Rank-deficient subsets and subsets with a degenerate axis take the
-    per-subset path (:func:`subset_boundary`, :func:`pole_directions`,
-    :func:`_pole_pair`) on their own group, with group-local indices.
+    Normals are taken against the last member, as in
+    :func:`reduce_sphere_system`.  Returns ``(members, normals, gram,
+    full)``; ``full`` marks the full-rank Gram matrices, and the others are
+    replaced by identities so that batched solves stay defined.
+    """
+    members = centers[rows]
+    normals = members[:, :-1] - members[:, -1:]
+    gram = normals @ normals.transpose(0, 2, 1)
+    full = ~_rank_deficient(gram)[0]
+    gram[~full] = np.eye(rows.shape[1] - 1)
+    return members, normals, gram, full
+
+
+class PoleEngine:
+    """Pole candidates of every subset of up to d+1 disks with fixed centers.
+
+    The Gram matrices, their rank test and the pole directions depend on the
+    centers only; they are computed once per subset size, on first use, and
+    reused for any radii (every bisection step of :func:`cech_scale`).  Each
+    radius-dependent block costs one batched solve.  Rank-deficient subsets
+    and subsets with a degenerate axis take the per-subset path
+    (:func:`subset_boundary`, :func:`pole_directions`, :func:`_pole_pair`).
     """
 
-    def __init__(self, centers: np.ndarray, groups: np.ndarray | None = None, tol: float = DEFAULT_TOL):
+    def __init__(self, centers: np.ndarray, tol: float = DEFAULT_TOL):
         self.centers = np.asarray(centers, dtype=float)
         m, d = self.centers.shape
-        self.groups = np.arange(m)[None] if groups is None else np.asarray(groups, dtype=np.intp)
-        self.group_centers = self.centers[self.groups]
         self.dimension = d
-        self.max_size = min(self.groups.shape[1], d + 1)
+        self.max_size = min(m, d + 1)
         self.tol = tol
-        self._singles = np.arange(self.groups.shape[1])[:, None]
+        self._singles = np.arange(m)[:, None]
         self._sizes: dict[int, _SizeBatch] = {}
 
-    def local(self, j: int) -> np.ndarray:
-        """The (C(k, j), j) group-local index rows of the size-j subsets."""
-        return self._size(j).local if j > 1 else self._singles
+    def subsets(self, j: int) -> np.ndarray:
+        """The (C(m, j), j) index rows of the size-j subsets."""
+        return self._size(j).rows if j > 1 else self._singles
 
     def _size(self, j: int) -> _SizeBatch:
         batch = self._sizes.get(j)
         if batch is None:
-            local = combination_rows(self.groups.shape[1], j)
-            batch = self._sizes[j] = self._prepare(local, self.groups[:, local].reshape(-1, j))
+            batch = self._sizes[j] = self._prepare(combination_rows(len(self.centers), j))
         return batch
 
-    def _prepare(self, local: np.ndarray, rows: np.ndarray) -> _SizeBatch:
+    def _prepare(self, rows: np.ndarray) -> _SizeBatch:
         """Radius-free data of an (N, j) array of disk index rows."""
         d, j = self.dimension, rows.shape[1]
-        members = self.centers[rows]
-        normals = members[:, :-1] - members[:, -1:]
-        gram = normals @ normals.transpose(0, 2, 1)
-        fast = ~_rank_deficient(gram)[0]
-        # Identity placeholders keep the batched solves defined.
-        gram[~fast] = np.eye(j - 1)
+        members, normals, gram, fast = gram_rows(self.centers, rows)
         unit = None
         if j <= d:
             # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
@@ -599,7 +590,7 @@ class PoleEngine:
             proj /= norms[:, None, :]
             unit = proj.transpose(0, 2, 1)
         return _SizeBatch(
-            local=local,
+            rows=rows,
             fast=fast,
             members=members,
             normals=normals,
@@ -608,33 +599,27 @@ class PoleEngine:
             unit=unit,
         )
 
-    def block(self, j: int, active: np.ndarray, radii: np.ndarray):
-        """Candidates of the size-j subsets of the ``active`` groups.
+    def block(self, j: int, radii: np.ndarray):
+        """Candidates of the size-j subsets for the (m,) ``radii``.
 
-        ``radii`` (a, k) are the radii of those groups.  Returns ``(index,
-        points, jittered)``: ascending flat indices into the (a, C(k, j))
-        grid of (group, subset) rows of the rows that yield candidates, their
-        (n, 2d, d) points and their jitter flags (see :func:`candidate_poles`).
+        Returns ``(index, points, jittered)``: the ascending indices into
+        :meth:`subsets` of the subsets that yield candidates, their (n, 2d,
+        d) points and their jitter flags (see :func:`candidate_poles`).
         """
         d, tol = self.dimension, self.tol
         if j == 1:
             # Every disk boundary: c -/+ r e_q per axis.
-            points = np.repeat(self.group_centers[active].reshape(-1, 1, d), 2 * d, axis=1).reshape(-1, d, 2, d)
+            points = np.repeat(self.centers[:, None, :], 2 * d, axis=1).reshape(-1, d, 2, d)
             axes = np.arange(d)
-            points[:, axes, 0, axes] -= radii.reshape(-1, 1)
-            points[:, axes, 1, axes] += radii.reshape(-1, 1)
+            points[:, axes, 0, axes] -= radii[:, None]
+            points[:, axes, 1, axes] += radii[:, None]
             return np.arange(len(points)), points.reshape(-1, 2 * d, d), np.zeros(len(points), dtype=bool)
         batch = self._size(j)
-        count = len(batch.local)
-        if len(active) == len(self.groups):
-            take = slice(None)
-        else:
-            take = (active[:, None] * count + np.arange(count)).ravel()
-        fast, members, normals = batch.fast[take], batch.members[take], batch.normals[take]
-        rad = radii[:, batch.local].reshape(-1, j)
+        fast, members, normals = batch.fast, batch.members, batch.normals
+        rad = radii[batch.rows]
         sq = rad**2
-        rhs = 0.5 * (sq[:, -1:] + batch.sq_norms[take] - sq[:, :-1])
-        lam = np.linalg.solve(batch.gram[take], rhs[..., None])
+        rhs = 0.5 * (sq[:, -1:] + batch.sq_norms - sq[:, :-1])
+        lam = np.linalg.solve(batch.gram, rhs[..., None])
         center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
         diff = center[:, None, :] - members
         diff *= diff
@@ -648,15 +633,14 @@ class PoleEngine:
         index = np.flatnonzero(keep)
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
         if sphere.any():
-            offset = np.sqrt(r2[sphere])[:, None, None] * batch.unit[take][sphere]
+            offset = np.sqrt(r2[sphere])[:, None, None] * batch.unit[sphere]
             c = center[sphere][:, None, :]
             points[sphere[index]] = np.stack([c - offset, c + offset], axis=2).reshape(-1, 2 * d, d)
         jittered = np.zeros(len(index), dtype=bool)
         slow = []
         for row in np.flatnonzero(~fast):
-            g, t = divmod(int(row), count)
-            group = DiskSystem.from_arrays(self.group_centers[active[g]], radii[g])
-            poles, jit = _subset_poles(group, tuple(int(i) for i in batch.local[t]), tol)
+            system = DiskSystem.from_arrays(self.centers, radii)
+            poles, jit = _subset_poles(system, tuple(int(i) for i in batch.rows[row]), tol)
             if poles is not None:
                 slow.append((row, poles, jit))
         if slow:
@@ -683,7 +667,6 @@ def candidate_poles(M: DiskSystem, tol: float = DEFAULT_TOL):
     completeness.
     """
     engine = PoleEngine(M.centers, tol=tol)
-    one = np.zeros(1, dtype=np.intp)
     for j in range(1, engine.max_size + 1):
-        index, points, jittered = engine.block(j, one, M.radii[None])
-        yield engine.local(j)[index], points, jittered
+        index, points, jittered = engine.block(j, M.radii)
+        yield engine.subsets(j)[index], points, jittered

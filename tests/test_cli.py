@@ -216,6 +216,15 @@ def test_unknown_flag_is_usage_error(csv_43, capsys):
     assert main(["check", "--bogus", csv_43]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"], ids=["tol-negative", "tol-nan", "tol-inf"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
+    # Two overlapping unit disks: a bad --tol must not reach the geometry.
+    path = tmp_path / "pair.csv"
+    path.write_text("0,0,1\n1,0,1\n")
+    assert main(["check", "--tol", tol, str(path)]) == EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/disks.csv"]) == EXIT_USAGE
 

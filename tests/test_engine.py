@@ -1,14 +1,23 @@
-"""Batched pole engine against the per-subset reference enumeration."""
-
-from itertools import combinations
+"""Batched pole engine against the per-subset reference enumeration, and
+exact scales against the brackets of bisection."""
 
 import numpy as np
 import pytest
 
 import reference_poles as ref
-from cechkit import DiskSystem, aabb_minimal, build_filtration, cech_scale, is_cech_system, rescale, rips_scale
+from cechkit import (
+    DEFAULT_TOL,
+    DiskSystem,
+    aabb_minimal,
+    build_filtration,
+    cech_scale,
+    exact_cech_scale,
+    is_cech_system,
+    rescale,
+    rips_scale,
+)
 from cechkit.cli import render_svg
-from cechkit.geometry import CONTAINS_CHUNK, PoleEngine, candidate_poles
+from cechkit.geometry import CONTAINS_CHUNK, candidate_poles
 from conftest import random_system
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
@@ -104,29 +113,6 @@ def test_duplicated_disks_yield_jittered_candidates():
     assert warned == {"duplicate-2d", "duplicate-3d"}
 
 
-@pytest.mark.parametrize("name", ["duplicate-2d", "duplicate-3d"])
-def test_grouped_blocks_match_each_subsystems_own_engine(name):
-    # Row g of a grouped engine is subsystem M[groups[g]] with its own local
-    # indices (and so its own jitter seeds): the same candidates, bit for bit.
-    M = DiskSystem.from_arrays(*DEGENERATE[name])
-    jittered_rows = 0
-    for k in (3, 4):
-        groups = np.array(list(combinations(range(len(M)), k)))
-        engine = PoleEngine(M.centers, groups)
-        for active in (np.arange(len(groups)), np.arange(0, len(groups), 2)):
-            radii = 1.1 * M.radii[groups[active]]
-            for j in range(1, engine.max_size + 1):
-                index, points, jittered = engine.block(j, active, radii)
-                owner, row = np.divmod(index, len(engine.local(j)))
-                for a, g in enumerate(active):
-                    want = PoleEngine(M.centers[groups[g]]).block(j, np.zeros(1, dtype=np.intp), radii[a][None])
-                    assert np.array_equal(row[owner == a], want[0])
-                    assert np.array_equal(points[owner == a], want[1])
-                    assert np.array_equal(jittered[owner == a], want[2])
-                jittered_rows += int(jittered.sum())
-    assert jittered_rows > 0
-
-
 def test_cech_scale_matches_per_step_decisions_bit_for_bit():
     rng = np.random.default_rng(341)
     systems = [random_system(rng, d, m) for d in (2, 3) for m in range(2, 8)]
@@ -145,16 +131,44 @@ def test_cech_scale_matches_per_step_decisions_bit_for_bit():
     assert warned > 0
 
 
-def test_filtration_unchanged_against_reference():
+def _assert_in_bracket(mu, M, bracket):
+    # Containment accepts ||x - c_i|| <= lam r_i + tol (1 + lam r_i), so a
+    # bracket end certified by it can miss mu by up to
+    # delta = tol * (hi + 1 / min r); derivation in CHANGES.md.
+    lo, hi = bracket
+    delta = DEFAULT_TOL * (hi + 1.0 / M.radii.min())
+    assert lo - delta <= mu <= hi + delta, (lo, mu, hi)
+
+
+def test_exact_scale_within_bisection_bracket_on_random_systems():
+    rng = np.random.default_rng(601)
+    for _ in range(60):
+        M = random_system(rng, int(rng.integers(2, 4)), int(rng.integers(2, 9)))
+        _assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_exact_scale_within_bisection_bracket_on_degenerate_systems(name):
+    for M in _scalings(*DEGENERATE[name]):
+        _assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
+
+
+def test_filtration_within_reference_brackets():
+    # Filtration scales are exact up to rounding: each simplex's scale lies
+    # in the bracket of the reference bisection on its own disks, taken
+    # before the facet clamp.
     rng = np.random.default_rng(347)
     inputs = [(random_system(rng, 2, 6), 2), (random_system(rng, 3, 5), 2)]
-    # k = 4 > d + 1 at d = 2: sub-subsets are capped at d + 1 = 3 disks.
+    # k = 4 > d + 1 at d = 2: the scale is the largest facet scale.
     inputs.append((random_system(rng, 2, 6), 3))
-    # The jitter fallback, reached with subsystem-local indices.
     inputs += [(DiskSystem.from_arrays(*DEGENERATE[name]), 3) for name in ("duplicate-2d", "collinear-2d-extra")]
     # Three coincident centers: the Rips scale of triple (0, 1, 2) is 0.
     coincident = DiskSystem.from_arrays([[0, 0], [0, 0], [0, 0], [1, 0.3], [0.2, 0.9]], [1.0, 0.7, 0.5, 0.8, 0.9])
     inputs.append((coincident, 3))
     for M, max_dim in inputs:
-        got, want = build_filtration(M, max_dim), ref.build_filtration(M, max_dim)
-        assert [(s.vertices, s.scale) for s in got.simplices] == [(s.vertices, s.scale) for s in want.simplices]
+        scales = build_filtration(M, max_dim).scales()
+        assert set(scales) == set(ref.build_filtration(M, max_dim).scales())
+        for subset, scale in scales.items():
+            if len(subset) >= 3:
+                sub = M.subsystem(subset)
+                _assert_in_bracket(scale, sub, ref.cech_scale(sub, 1e-6).bracket)

@@ -1,0 +1,99 @@
+"""Exact Cech scales from closed-form subset roots."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cechkit import DiskSystem, build_filtration, exact_cech_scale, oracle_minimax, rips_scale
+from conftest import random_system
+
+
+def test_exact_scale_within_oracle_slack():
+    # Criterion 5's generator; the oracle's value is an objective value, so
+    # value - slack <= mu <= value.
+    rng = np.random.default_rng(607)
+    for d, count in ((2, 100), (3, 30)):
+        for _ in range(count):
+            M = random_system(rng, d, int(rng.integers(2, 7)))
+            result = oracle_minimax(M)
+            assert abs(exact_cech_scale(M) - result.value) <= result.slack
+
+
+def test_exact_scale_of_equilateral_triple(equilateral_system):
+    assert abs(exact_cech_scale(equilateral_system) - 1.0 / math.sqrt(3.0)) <= 1e-12
+
+
+def test_exact_scale_of_pair_and_single_disk():
+    M = DiskSystem.from_arrays([[0.0, 0.0, 0.0], [3.0, 1.0, -2.0]], [1.0, 2.5])
+    assert exact_cech_scale(M) == rips_scale(M)
+    assert exact_cech_scale(M.subsystem([1])) == 0.0
+
+
+# Centers in [0, 1]^d and radii in [0.1, 1], as in random_system; hypothesis
+# also draws repeated and boundary values, so degenerate subsets occur.
+unit = st.floats(0.0, 1.0, allow_subnormal=False)
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def systems(draw):
+    d = draw(st.integers(2, 3))
+    m = draw(st.integers(2, 6))
+    centers = draw(arrays(float, (m, d), elements=unit))
+    radii = draw(arrays(float, m, elements=st.floats(0.1, 1.0)))
+    return DiskSystem.from_arrays(centers, radii)
+
+
+def _scales(M):
+    return build_filtration(M, min(len(M) - 1, 3)).scales()
+
+
+def _assert_same_scales(got, want):
+    assert set(got) == set(want)
+    for simplex, scale in want.items():
+        assert math.isclose(got[simplex], scale, rel_tol=1e-9, abs_tol=1e-12), simplex
+
+
+@SETTINGS
+@given(systems(), arrays(float, 3, elements=st.floats(-10.0, 10.0)))
+def test_translation_leaves_scales_unchanged(M, shift):
+    moved = DiskSystem.from_arrays(M.centers + shift[: M.dimension], M.radii)
+    assert math.isclose(exact_cech_scale(moved), exact_cech_scale(M), rel_tol=1e-9, abs_tol=1e-12)
+    _assert_same_scales(_scales(moved), _scales(M))
+
+
+@SETTINGS
+@given(systems(), st.floats(1e-3, 1e3))
+def test_common_scaling_leaves_scales_unchanged(M, factor):
+    scaled = DiskSystem.from_arrays(M.centers * factor, M.radii * factor)
+    assert math.isclose(exact_cech_scale(scaled), exact_cech_scale(M), rel_tol=1e-9, abs_tol=1e-12)
+    _assert_same_scales(_scales(scaled), _scales(M))
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_duplicated_disk_leaves_scales_unchanged(M, data):
+    i = data.draw(st.integers(0, len(M) - 1))
+    dup = DiskSystem.from_arrays(np.vstack([M.centers, M.centers[i]]), np.append(M.radii, M.radii[i]))
+    assert math.isclose(exact_cech_scale(dup), exact_cech_scale(M), rel_tol=1e-9, abs_tol=1e-12)
+    # The copy (index m) stands for disk i: a simplex takes the scale of its
+    # image with the copy replaced by i.
+    want = _scales(M)
+    for simplex, scale in _scales(dup).items():
+        image = tuple(sorted({i if v == len(M) else v for v in simplex}))
+        assert math.isclose(scale, want[image], rel_tol=1e-9, abs_tol=1e-12), simplex
+
+
+@SETTINGS
+@given(systems(), st.randoms(use_true_random=False))
+def test_permutation_permutes_simplices(M, random):
+    perm = list(range(len(M)))
+    random.shuffle(perm)
+    # Disk k of the permuted system is disk perm[k] of M.
+    permuted = DiskSystem.from_arrays(M.centers[perm], M.radii[perm])
+    assert math.isclose(exact_cech_scale(permuted), exact_cech_scale(M), rel_tol=1e-9, abs_tol=1e-12)
+    got = {tuple(sorted(perm[v] for v in simplex)): scale for simplex, scale in _scales(permuted).items()}
+    _assert_same_scales(got, _scales(M))
