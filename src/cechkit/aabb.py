@@ -19,6 +19,7 @@ from .geometry import (
     candidate_poles,
     contains,
     contains_all_batch,
+    disjoint_pair,
     eff_tol,
     intersect_two_spheres,
     poles_codim1,
@@ -129,8 +130,11 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
     contained in all m disks (with tolerance), and takes the per-axis
     envelope: lower bound from retained south poles, upper bound from
     retained north poles.  A single-point boundary intersection counts for
-    every axis and orientation.
+    every axis and orientation.  A disjoint pair (:func:`disjoint_pair`)
+    retains nothing, so it returns None before any enumeration.
     """
+    if disjoint_pair(M, tol):
+        return None
     d = M.dimension
     blocks = candidate_poles(M, tol)
     tested = ((p, contains_all_batch(M, p.reshape(-1, d), tol), j) for _, p, j in blocks if len(p))

@@ -43,6 +43,12 @@ class ScaleReport:
     degeneracy_warning: bool = False
 
 
+def require_precision(eta: float) -> None:
+    """Raise ValueError unless eta is finite and positive."""
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+
+
 def pair_ratios(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """(m, m) matrix of ||c_i - c_j|| / (r_i + r_j)."""
     diff = centers[None, :, :] - centers[:, None, :]
@@ -109,9 +115,10 @@ def bisect_scales(M: DiskSystem, nu: float, eta: float, tol: float = DEFAULT_TOL
 
     M stops at nu when its nu-rescaling intersects (exact for one or two
     disks); otherwise the bracket [nu, sqrt(2d/(d+1)) nu] is halved while it
-    is wider than eta.  Returns ``(lo, hi, iterations, witness, warn)``: hi
-    is the certified scale, ``witness`` a point of M rescaled to hi, and
-    ``warn`` the degeneracy warning of every decision made.
+    is wider than eta and has a float strictly inside.  Returns ``(lo, hi,
+    iterations, witness, warn)``: hi is the certified scale, ``witness`` a
+    point of M rescaled to hi, and ``warn`` the degeneracy warning of every
+    decision made.
     """
     if nu == 0.0:
         # Coincident centers: every rescaling intersects.
@@ -132,6 +139,8 @@ def bisect_scales(M: DiskSystem, nu: float, eta: float, tol: float = DEFAULT_TOL
     lo, hi, iterations = nu, jung_factor(M.dimension) * nu, 0
     while hi - lo > eta:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: eta is below their spacing
+            break
         point = decide(mid)
         iterations += 1
         if point is None:
@@ -151,8 +160,7 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     [nu, sqrt(2d/(d+1)) nu] and returns the upper endpoint, a certified
     scale at which the rescaled system intersects.
     """
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    require_precision(eta)
     nu = rips_scale(M)
     lo, hi, iterations, witness, warn = bisect_scales(M, nu, eta, tol)
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)

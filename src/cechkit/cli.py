@@ -13,16 +13,17 @@ Exit codes: 0 success/affirmative, 1 negative decision, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
-from .aabb import Box, aabb_minimal, pole_envelope
+from .aabb import aabb_minimal, pole_envelope
 from .cech import cech_scale, is_cech_system, rips_scale
 from .filtration import build_filtration
-from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, candidate_poles, contains_all_batch, preprocess
+from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, candidate_poles, contains_all_batch, disjoint_pair, preprocess
 
 SCHEMA = "cech-kit/1"
 
@@ -129,14 +130,6 @@ def _fmt_vec(v) -> str:
     return "(" + ",".join(f"{float(x):.9g}" for x in v) + ")"
 
 
-def _box_payload(box: Box) -> list[list[float]]:
-    return [[float(a), float(b)] for a, b in box.intervals]
-
-
-def _fmt_box(box: Box) -> str:
-    return "x".join(f"[{a:.9g},{b:.9g}]" for a, b in box.intervals)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -222,12 +215,8 @@ def _cmd_aabb(args) -> int:
     if box is None:
         _emit(args, {"command": "aabb", "box": None}, "NO-INTERSECTION")
         return EXIT_NEGATIVE
-    payload = {
-        "command": "aabb",
-        "box": _box_payload(box),
-        "degeneracy_warning": box.degeneracy_warning,
-    }
-    _emit(args, payload, _fmt_box(box))
+    payload = {"command": "aabb", "box": box.intervals.tolist(), "degeneracy_warning": box.degeneracy_warning}
+    _emit(args, payload, "x".join(f"[{a:.9g},{b:.9g}]" for a, b in box.intervals))
     return _finish(args, negative=False, degenerate=box.degeneracy_warning)
 
 
@@ -290,7 +279,7 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
             f'r="{r * scale:.2f}" fill="steelblue" fill-opacity="0.15" '
             f'stroke="steelblue" stroke-width="1.5"/>'
         )
-    blocks = candidate_poles(M, tol)
+    blocks = () if disjoint_pair(M, tol) else candidate_poles(M, tol)  # a disjoint pair retains no pole
     tested = [(p, contains_all_batch(M, p.reshape(-1, 2), tol), j) for _, p, j in blocks if len(p)]
     box = pole_envelope(tested, 2)
     if box is not None:
@@ -317,6 +306,13 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _precision(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -347,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rips-scale", parents=[common], help="Vietoris-Rips scale")
     p.set_defaults(func=_cmd_rips_scale)
     p = sub.add_parser("cech-scale", parents=[common], help="Cech scale by bisection")
-    p.add_argument("--eta", type=float, default=1e-6, help="bisection precision")
+    p.add_argument("--eta", type=_precision, default=1e-6, help="bisection precision (finite, > 0)")
     p.set_defaults(func=_cmd_cech_scale)
     p = sub.add_parser("aabb", parents=[common], help="minimal AABB of the intersection")
     p.set_defaults(func=_cmd_aabb)
     p = sub.add_parser("filtration", parents=[common], help="filtered Cech complex")
     p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--eta", type=float, default=1e-6, help="accepted; scales are exact")
+    p.add_argument("--eta", type=_precision, default=1e-6, help="accepted (finite, > 0); scales are exact")
     p.set_defaults(func=_cmd_filtration)
     p = sub.add_parser("plot", parents=[common], help="SVG plot (2D only)")
     p.add_argument("--output", help="write SVG here instead of stdout")
@@ -361,10 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing leaves no
+    state in it, and building it costs more than many ops."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

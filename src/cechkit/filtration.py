@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cech import pair_ratios, subset_roots
+from .cech import pair_ratios, require_precision, subset_roots
 from .geometry import DEFAULT_TOL, DiskSystem, combination_rows
 
 
@@ -49,14 +49,13 @@ def build_filtration(
     radius-function recursion: the largest of its facets' scales and, for
     at most d+1 disks, its own valid closed-form root
     (:func:`~cechkit.cech.subset_roots`).  Pairs enter at their Rips ratio.
-    No scale is bisected: ``eta`` must still be positive and ``tol`` is
-    accepted, but neither changes a scale.
+    No scale is bisected: ``eta`` must still be finite and positive, and
+    ``tol`` is accepted, but neither changes a scale.
     """
     m, d = len(M), M.dimension
     if not 0 <= max_dim <= m - 1:
         raise ValueError(f"max_dim must be in [0, {m - 1}], got {max_dim}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    require_precision(eta)
     scales: dict[tuple[int, ...], float] = {(i,): 0.0 for i in range(m)}
     ratios = pair_ratios(M.centers, M.radii)
     for k in range(2, max_dim + 2):

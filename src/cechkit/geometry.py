@@ -230,13 +230,27 @@ def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(p - disk.center)) <= disk.radius + eff_tol(tol, disk.radius)
 
 
+def _reach(radii: np.ndarray, tol: float) -> np.ndarray:
+    """Largest center distance :func:`contains_all_batch` accepts, per disk."""
+    return radii + tol * (1.0 + radii)
+
+
+def disjoint_pair(system: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
+    """Whether no point can pass :func:`contains_all_batch` for some pair of
+    disks: their center distance exceeds the sum of the two reaches by a
+    factor 1 + 1e-12, enough for the rounding of every distance involved."""
+    reach = _reach(system.radii, tol)
+    diff = system.centers[:, None, :] - system.centers
+    return bool((np.sqrt(np.add.reduce(diff * diff, axis=2)) > (reach[:, None] + reach) * (1.0 + 1e-12)).any())
+
+
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Which of an (n, d) array of points lie in every disk (with tolerance).
 
     Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
     difference array stays bounded however many candidates there are.
     """
-    bound = system.radii + tol * (1.0 + system.radii)
+    bound = _reach(system.radii, tol)
     inside = np.empty(len(points), dtype=bool)
     for start in range(0, len(points), CONTAINS_CHUNK):
         diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers
@@ -256,11 +270,19 @@ def _rank_deficient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(deficient, rank)`` per matrix: a matrix is deficient when it
     is zero or its smallest singular value is at most 1e-12 of its largest.
+    A k x k Gram matrix G is positive semidefinite, so sigma_min / sigma_max
+    >= det G / tr(G)^k; det(G / tr G) > 1e-9 settles full rank with a margin
+    of 1e3 over the cutoff and over the rounding of LU, and only the other
+    matrices take the SVD.
     """
-    sv = np.linalg.svd(gram, compute_uv=False)
-    top = sv[..., 0]
-    deficient = (top <= 0.0) | (sv[..., -1] <= 1e-12 * top)
-    rank = np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        doubt = ~(np.linalg.det(gram / np.trace(gram, axis1=-2, axis2=-1)[..., None, None]) > 1e-9)
+    deficient, rank = np.zeros(doubt.shape, dtype=bool), np.full(doubt.shape, gram.shape[-1])
+    if doubt.any():
+        sv = np.linalg.svd(gram[doubt], compute_uv=False)
+        top = sv[..., 0]
+        deficient[doubt] = (top <= 0.0) | (sv[..., -1] <= 1e-12 * top)
+        rank[doubt] = np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1)
     return deficient, rank
 
 

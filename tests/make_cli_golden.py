@@ -1,0 +1,102 @@
+"""Record the CLI's outputs on a fixed set of disk systems.
+
+Run from the repository root, with ``PYTHONPATH`` pointing at the ``src/``
+of the checkout whose outputs are to be recorded:
+
+    PYTHONPATH=src python3 tests/make_cli_golden.py tests/data/cli_golden.json
+
+The file holds, per system, its CSV text and, per command, the argument
+list, the exit code and the output: the parsed JSON of ``check``,
+``aabb``, ``cech-scale`` and ``filtration`` and the SVG text of ``plot``.
+``tests/test_golden.py`` replays every command and compares.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from cechkit import DiskSystem, rescale, rips_scale  # noqa: E402
+from cechkit.cli import main  # noqa: E402
+from test_engine import DEGENERATE  # noqa: E402
+
+SEED = 7001
+FACTORS = (0.95, 1.05, 1.3)
+SIZES = (3, 4, 6, 9, 12, 16)
+
+
+def systems():
+    """``(name, system, scaled)`` for every input; cech-scale and filtration
+    run on the systems with ``scaled`` False only."""
+    rng = np.random.default_rng(SEED)
+    for d in (2, 3):
+        for m in SIZES:
+            base = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (m, d)), rng.uniform(0.1, 1.0, m))
+            nu = rips_scale(base)
+            for factor in FACTORS:
+                yield f"random-d{d}-m{m}-x{factor}", rescale(base, factor * nu), factor != 1.05
+    for name in sorted(DEGENERATE):
+        base = DiskSystem.from_arrays(*DEGENERATE[name])
+        nu = rips_scale(base)
+        yield name, base, False
+        for factor in FACTORS:
+            yield f"{name}-x{factor}", rescale(base, factor * nu), True
+
+
+def commands(M, scaled):
+    """Argument lists (without the input path) run on M."""
+    argvs = [["check", "--format", "json"], ["aabb", "--format", "json"]]
+    if M.dimension == 2:
+        argvs.append(["plot"])
+    if not scaled:
+        argvs.append(["cech-scale", "--format", "json"])
+        argvs.append(["filtration", "--format", "json", "--max-dim", str(min(2, len(M) - 1))])
+    return argvs
+
+
+def to_csv(M) -> str:
+    return "".join(",".join(map(repr, (*c, r))) + "\n" for c, r in zip(M.centers.tolist(), M.radii.tolist()))
+
+
+def run(argv, csv_text):
+    """Exit code and output of ``main(argv + [path])`` on a file holding csv_text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, path])
+    text = out.getvalue()
+    if argv[0] == "plot":
+        return code, text
+    payload = json.loads(text)
+    if argv[0] == "filtration":  # compact: [scale, vertices] per simplex
+        payload["simplices"] = [[s["scale"], s["vertices"]] for s in payload["simplices"]]
+    return code, payload
+
+
+def record():
+    cases = []
+    for name, M, scaled in systems():
+        csv_text = to_csv(M)
+        ops = []
+        for argv in commands(M, scaled):
+            code, output = run(argv, csv_text)
+            ops.append({"argv": argv, "code": code, "output": output})
+        cases.append({"name": name, "csv": csv_text, "ops": ops})
+    return {"seed": SEED, "cases": cases}
+
+
+if __name__ == "__main__":
+    target = sys.argv[1] if len(sys.argv) > 1 else "tests/data/cli_golden.json"
+    os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(record(), fh, separators=(",", ":"))
+        fh.write("\n")

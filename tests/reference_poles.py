@@ -114,6 +114,8 @@ def cech_scale(M, eta=1e-6, tol=DEFAULT_TOL, decide=is_cech_system):
     iterations = 0
     while hi - lo > eta:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: eta is below their spacing
+            break
         decision = decide(rescale(M, mid), tol)
         warn = warn or decision.degeneracy_warning
         iterations += 1

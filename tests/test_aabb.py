@@ -25,9 +25,12 @@ from cechkit import (
     poles_codim1,
     poles_general,
     reduce_sphere_system,
+    rescale,
+    rips_scale,
 )
 import reference_poles
 from conftest import hollow_simplex_system, intersecting_simplex_system, random_system
+from test_engine import DEGENERATE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -302,3 +305,67 @@ def test_empty_system_inverts_box_intersection():
         ]
         assert all(b is not None for b in loo)
         assert box_intersect(loo).is_inverted()
+
+
+# ---------------------------------------------------------------------------
+# The disjoint-pair exit of aabb_minimal and render_svg
+# ---------------------------------------------------------------------------
+
+
+def _counting_candidate_poles(monkeypatch):
+    import cechkit.aabb
+    import cechkit.cli
+
+    calls = []
+    original = cechkit.aabb.candidate_poles
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cechkit.aabb, "candidate_poles", counting)
+    monkeypatch.setattr(cechkit.cli, "candidate_poles", counting)
+    return calls
+
+
+def _assert_box_and_picture_match_reference(M):
+    from cechkit.cli import render_svg
+
+    box, want = aabb_minimal(M), reference_poles.aabb_minimal(M)
+    assert (box is None) == (want is None)
+    if want is not None:
+        np.testing.assert_allclose(box.intervals, want.intervals, rtol=0.0, atol=1e-12)
+    assert render_svg(M) == reference_poles.render_svg(M)
+    return box
+
+
+def test_disjoint_pair_exit_at_its_threshold(monkeypatch):
+    from cechkit.geometry import DEFAULT_TOL
+
+    calls = _counting_candidate_poles(monkeypatch)
+    # Two unit disks: their tangent point passes containment up to a center
+    # distance of about b_1 + b_2, just below the exit's threshold.
+    reach = 2.0 * (1.0 + DEFAULT_TOL * 2.0)
+    threshold = reach * (1.0 + 1e-12)
+    boxes = {}
+    for offset in (-2e-12, -1e-13, 1e-13, 1e-12):
+        dist = threshold * (1.0 + offset)
+        M = DiskSystem.from_arrays([[0.0, 0.0], [0.6 * dist, 0.8 * dist]], [1.0, 1.0])
+        del calls[:]
+        boxes[offset] = _assert_box_and_picture_match_reference(M)
+        # Below the threshold both aabb_minimal and render_svg enumerate.
+        assert len(calls) == (2 if offset < 0 else 0), offset
+    assert boxes[-2e-12] is not None
+    assert boxes[-1e-13] is None and boxes[1e-13] is None and boxes[1e-12] is None
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_disjoint_pair_exit_on_degenerate_systems(monkeypatch, name):
+    calls = _counting_candidate_poles(monkeypatch)
+    M = DiskSystem.from_arrays(*DEGENERATE[name])
+    M = rescale(M, 0.95 * rips_scale(M))
+    if M.dimension == 2:
+        assert _assert_box_and_picture_match_reference(M) is None
+    else:
+        assert aabb_minimal(M) is None and reference_poles.aabb_minimal(M) is None
+    assert calls == []

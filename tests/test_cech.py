@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from cechkit import (
+    DEFAULT_TOL,
     DiskSystem,
     aabb_minimal,
+    build_filtration,
     cech_scale,
+    exact_cech_scale,
     is_cech_system,
     jung_factor,
     rescale,
@@ -172,8 +175,24 @@ def test_scale_single_disk():
 
 
 def test_scale_rejects_bad_eta(equilateral_system):
-    with pytest.raises(ValueError):
-        cech_scale(equilateral_system, 0.0)
+    for eta in (0.0, math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            cech_scale(equilateral_system, eta)
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            build_filtration(equilateral_system, 2, eta)
+
+
+@pytest.mark.parametrize("eta", [1e-300, 5e-324])
+def test_scale_stops_below_float_spacing(eta):
+    # Once lo and hi are adjacent floats the midpoint is one of them, so
+    # "hi - lo > eta" alone would never end the bisection.
+    M = DiskSystem.from_arrays([[0.0, 0.0], [2.5, 0.0], [1.2, 2.0]], [1.0, 1.0, 1.0])
+    report = cech_scale(M, eta)
+    lo, hi = report.bracket
+    assert hi == lo or hi == np.nextafter(lo, np.inf)
+    assert report.cech_scale == hi and report.iterations > 0
+    delta = DEFAULT_TOL * (hi + 1.0 / M.radii.min())  # the bound of test_engine._assert_in_bracket
+    assert lo - delta <= exact_cech_scale(M) <= hi + delta
 
 
 def test_scale_shrinking_intersection_width(equilateral_system):

@@ -13,6 +13,8 @@ from cechkit.cli import (
     EXIT_USAGE,
     SCHEMA,
     ParseError,
+    _parser,
+    build_parser,
     main,
     parse_disk_system,
     serialize_disk_system,
@@ -223,6 +225,42 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
     path.write_text("0,0,1\n1,0,1\n")
     assert main(["check", "--tol", tol, str(path)]) == EXIT_USAGE
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cech-scale", "filtration"])
+@pytest.mark.parametrize("eta", ["inf", "nan", "0"], ids=["eta-inf", "eta-nan", "eta-zero"])
+def test_bad_eta_is_usage_error(tmp_path, capsys, command, eta):
+    # With --eta inf the bisection would stop at once and report the Jung bound.
+    path = tmp_path / "tri.csv"
+    path.write_text("0,0,1\n2.5,0,1\n1.2,2,1\n")
+    assert main([command, "--eta", eta, str(path)]) == EXIT_USAGE
+    assert "--eta" in capsys.readouterr().err
+
+
+def _fresh_parser_outcome(argv, capsys):
+    """Exit code and stdout of argv run through a newly built parser."""
+    args = build_parser().parse_args(argv)
+    code = args.func(args)
+    return code, capsys.readouterr().out
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
+    path = tmp_path / "tri.csv"
+    path.write_text("0,0,1\n2.5,0,1\n1.2,2,1\n")
+    svg = tmp_path / "tri.svg"
+    pairs = [
+        (["cech-scale", "--eta", "1e-3"], ["cech-scale"]),
+        (["check", "--preprocess", "--strict"], ["check"]),
+        (["plot", "--output", str(svg)], ["plot"]),
+    ]
+    for pair in pairs:
+        for argv in pair:
+            argv = [*argv, str(path)]
+            code = main(argv)
+            got = (code, capsys.readouterr().out)
+            assert got == _fresh_parser_outcome(argv, capsys), argv
+    assert svg.read_text().startswith("<svg")
+    assert _parser() is _parser()
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -341,6 +341,62 @@ def test_poles_general_dependent_normals():
 
 
 # ---------------------------------------------------------------------------
+# Rank test: the determinant screen against the plain SVD test
+# ---------------------------------------------------------------------------
+
+
+def _svd_rank_deficient(gram):
+    """The rank test before the determinant screen: an SVD of every matrix."""
+    sv = np.linalg.svd(gram, compute_uv=False)
+    top = sv[..., 0]
+    deficient = (top <= 0.0) | (sv[..., -1] <= 1e-12 * top)
+    rank = np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1)
+    return deficient, rank
+
+
+def _gram_stack(rng, k, n, log_cond):
+    """n Gram matrices N N^T of k normals in R^(k+1) whose singular values
+    run from 1 down to 10^log_cond, at magnitudes from 1e-3 to 1e3."""
+    d = k + 1
+    left = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, d, k)))[0].transpose(0, 2, 1)
+    logs = rng.uniform(log_cond, 0.0, (n, k))
+    logs[:, 0], logs[:, -1] = 0.0, log_cond
+    normals = left @ (10.0 ** (0.5 * logs)[:, :, None] * right) * 10.0 ** rng.uniform(-1.5, 1.5, (n, 1, 1))
+    return normals @ normals.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rank_screen_matches_svd_test(k):
+    from cechkit.geometry import _rank_deficient
+
+    rng = np.random.default_rng(700 + k)
+    stacks = [_gram_stack(rng, k, 400, log_cond) for log_cond in (-2, -8, -11.5, -12, -12.5, -14, -17)]
+    if k > 1:
+        normals = rng.standard_normal((200, k, k + 1))
+        normals[:, -1] = normals[:, 0] * rng.choice([-2.0, 0.5, 1.0], (200, 1))  # exactly dependent rows
+        stacks.append(normals @ normals.transpose(0, 2, 1))
+    stacks.append(np.zeros((3, k, k)))
+    gram = np.concatenate(stacks)
+    got, want = _rank_deficient(gram), _svd_rank_deficient(gram)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert want[0].any() and not want[0].all()  # both outcomes occur
+    for single in gram[::37]:
+        got, want = _rank_deficient(single), _svd_rank_deficient(single)
+        assert bool(got[0]) == bool(want[0]) and int(got[1]) == int(want[1])
+
+
+def test_require_full_rank_message_and_rank():
+    from cechkit.geometry import _require_full_rank
+
+    _require_full_rank(np.array([[2.0, 1.0], [1.0, 2.0]]), "rank {rank}")
+    for gram, rank in ((np.array([[1.0, 2.0], [2.0, 4.0]]), 1), (np.zeros((3, 3)), 0)):
+        with pytest.raises(DegenerateConfiguration, match=f"^Gram rank {rank} < 3$") as info:
+            _require_full_rank(gram, "Gram rank {rank} < 3")
+        assert info.value.rank == rank
+
+
+# ---------------------------------------------------------------------------
 # boundary_poles
 # ---------------------------------------------------------------------------
 
