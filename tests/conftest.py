@@ -5,9 +5,38 @@ import math
 import numpy as np
 import pytest
 
-from cechkit import DiskSystem, cech_scale, rescale
+from cechkit import DiskSystem, cech_scale, rescale, rips_scale
 
 SQRT2 = math.sqrt(2.0)
+
+# Rescalings relative to the Rips scale: below it a pair is disjoint, at
+# the Jung factor (at most 1.225) every system intersects.
+FACTORS = (0.95, 1.05, 1.15, 1.3)
+
+# Systems with affinely dependent subsets or pairs whose normal is a
+# coordinate axis (a degenerate axis).  The "shared" triples have
+# boundaries through one circle (two points in 2-D).
+DEGENERATE = {
+    "collinear-2d-axis": ([[0, 0], [1, 0], [2, 0]], [1.0, 1.0, 1.0]),
+    "collinear-2d-shared": ([[0, 0], [1, 0], [2, 0]], [SQRT2, 1.0, SQRT2]),
+    "collinear-3d-shared": ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [SQRT2, 1.0, SQRT2]),
+    "collinear-2d-diagonal": ([[0, 0], [1, 1], [2, 2]], [1.2, 1.0, 1.5]),
+    "collinear-2d-extra": ([[0, 0], [1, 0], [2, 0], [1, 0.5]], [1.2, 1.0, 1.3, 0.9]),
+    "collinear-3d-axis": ([[0, 0, 0], [0, 0, 1], [0, 0, 2]], [1.2, 1.0, 1.2]),
+    "collinear-3d-skew": ([[0, 0, 0], [1, 2, 3], [2, 4, 6], [1, 1, 1]], [3.0, 2.5, 4.0, 2.0]),
+    "coplanar-3d": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [0.9, 0.9, 0.9, 0.9]),
+    "coplanar-3d-tilted": ([[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 2], [0.5, 0.5, 0.3]],
+                           [1.0, 1.1, 0.9, 1.2, 0.8]),
+    "duplicate-2d": ([[0, 0], [1, 0.2], [0.4, 0.9], [0, 0]], [1.0, 0.8, 0.9, 1.0]),
+    "duplicate-3d": ([[0, 0, 0], [1, 0.2, 0.1], [0.3, 0.8, 0.5], [1, 0.2, 0.1]], [1.0, 0.9, 0.8, 0.9]),
+}
+
+
+def scalings(centers, radii):
+    """The system of these arrays and its rescalings by FACTORS x its Rips scale."""
+    M = DiskSystem.from_arrays(centers, radii)
+    nu = rips_scale(M)
+    return [M, *(rescale(M, factor * nu) for factor in FACTORS)]
 
 
 @pytest.fixture

@@ -24,11 +24,16 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cechkit import DiskSystem, rescale, rips_scale  # noqa: E402
 from cechkit.cli import main  # noqa: E402
-from test_engine import DEGENERATE  # noqa: E402
+from conftest import DEGENERATE  # noqa: E402
 
 SEED = 7001
 FACTORS = (0.95, 1.05, 1.3)
 SIZES = (3, 4, 6, 9, 12, 16)
+# Lattice systems: centers in {0, 1, 2}^d, so many subsets are collinear,
+# coplanar or repeat a center.
+LATTICE_SEED = 7002
+LATTICE_SIZES = (4, 5, 6, 7, 8)
+LATTICE_PER_SIZE = 3
 
 
 def systems():
@@ -41,6 +46,16 @@ def systems():
             nu = rips_scale(base)
             for factor in FACTORS:
                 yield f"random-d{d}-m{m}-x{factor}", rescale(base, factor * nu), factor != 1.05
+    rng = np.random.default_rng(LATTICE_SEED)
+    for d in (2, 3):
+        for m in LATTICE_SIZES:
+            for i in range(LATTICE_PER_SIZE):
+                base = DiskSystem.from_arrays(rng.integers(0, 3, (m, d)), rng.uniform(0.5, 1.5, m))
+                while rips_scale(base) == 0.0:  # one repeated center: no rescaling
+                    base = DiskSystem.from_arrays(rng.integers(0, 3, (m, d)), rng.uniform(0.5, 1.5, m))
+                nu = rips_scale(base)
+                for factor in FACTORS:
+                    yield f"lattice-d{d}-m{m}-{i}-x{factor}", rescale(base, factor * nu), factor != 1.05
     for name in sorted(DEGENERATE):
         base = DiskSystem.from_arrays(*DEGENERATE[name])
         nu = rips_scale(base)

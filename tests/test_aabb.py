@@ -29,8 +29,7 @@ from cechkit import (
     rips_scale,
 )
 import reference_poles
-from conftest import hollow_simplex_system, intersecting_simplex_system, random_system
-from test_engine import DEGENERATE
+from conftest import DEGENERATE, hollow_simplex_system, intersecting_simplex_system, random_system
 
 SQRT2 = math.sqrt(2.0)
 

@@ -18,14 +18,11 @@ from cechkit import (
 )
 from cechkit.cli import render_svg
 from cechkit.geometry import CONTAINS_CHUNK, candidate_poles
-from conftest import random_system
+from conftest import DEGENERATE, FACTORS, random_system, scalings
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
 # matrix products, axis reductions), so they agree to rounding, not bits.
 ATOL = 1e-12
-# Rescalings relative to the Rips scale: below it a pair is disjoint, at
-# the Jung factor (at most 1.225) every system intersects.
-FACTORS = (0.95, 1.05, 1.15, 1.3)
 
 
 def _assert_same(M):
@@ -68,36 +65,9 @@ def test_engine_matches_reference_across_contains_chunks():
         _assert_same(rescale(M, factor * nu))
 
 
-SQRT2 = 2.0**0.5
-
-# Systems with affinely dependent subsets (the jitter fallback) or pairs
-# whose normal is a coordinate axis (the degenerate-axis fallback).  The
-# "shared" triples have boundaries through one circle (two points in 2-D).
-DEGENERATE = {
-    "collinear-2d-axis": ([[0, 0], [1, 0], [2, 0]], [1.0, 1.0, 1.0]),
-    "collinear-2d-shared": ([[0, 0], [1, 0], [2, 0]], [SQRT2, 1.0, SQRT2]),
-    "collinear-3d-shared": ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [SQRT2, 1.0, SQRT2]),
-    "collinear-2d-diagonal": ([[0, 0], [1, 1], [2, 2]], [1.2, 1.0, 1.5]),
-    "collinear-2d-extra": ([[0, 0], [1, 0], [2, 0], [1, 0.5]], [1.2, 1.0, 1.3, 0.9]),
-    "collinear-3d-axis": ([[0, 0, 0], [0, 0, 1], [0, 0, 2]], [1.2, 1.0, 1.2]),
-    "collinear-3d-skew": ([[0, 0, 0], [1, 2, 3], [2, 4, 6], [1, 1, 1]], [3.0, 2.5, 4.0, 2.0]),
-    "coplanar-3d": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [0.9, 0.9, 0.9, 0.9]),
-    "coplanar-3d-tilted": ([[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 2], [0.5, 0.5, 0.3]],
-                           [1.0, 1.1, 0.9, 1.2, 0.8]),
-    "duplicate-2d": ([[0, 0], [1, 0.2], [0.4, 0.9], [0, 0]], [1.0, 0.8, 0.9, 1.0]),
-    "duplicate-3d": ([[0, 0, 0], [1, 0.2, 0.1], [0.3, 0.8, 0.5], [1, 0.2, 0.1]], [1.0, 0.9, 0.8, 0.9]),
-}
-
-
-def _scalings(centers, radii):
-    M = DiskSystem.from_arrays(centers, radii)
-    nu = rips_scale(M)
-    return [M, *(rescale(M, factor * nu) for factor in FACTORS)]
-
-
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_engine_matches_reference_on_degenerate_systems(name):
-    for M in _scalings(*DEGENERATE[name]):
+    for M in scalings(*DEGENERATE[name]):
         _assert_same(M)
 
 
@@ -107,7 +77,7 @@ def test_duplicated_disks_yield_jittered_candidates():
     warned = {
         name
         for name, system in DEGENERATE.items()
-        for M in _scalings(*system)
+        for M in scalings(*system)
         if any(jittered.any() for _, _, jittered in candidate_poles(M))
     }
     assert warned == {"duplicate-2d", "duplicate-3d"}
@@ -116,7 +86,7 @@ def test_duplicated_disks_yield_jittered_candidates():
 def test_cech_scale_matches_per_step_decisions_bit_for_bit():
     rng = np.random.default_rng(341)
     systems = [random_system(rng, d, m) for d in (2, 3) for m in range(2, 8)]
-    systems += [M for name in sorted(DEGENERATE) for M in _scalings(*DEGENERATE[name])]
+    systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
     warned = 0
     for M in systems:
         got = cech_scale(M, 1e-6)
@@ -149,7 +119,7 @@ def test_exact_scale_within_bisection_bracket_on_random_systems():
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_exact_scale_within_bisection_bracket_on_degenerate_systems(name):
-    for M in _scalings(*DEGENERATE[name]):
+    for M in scalings(*DEGENERATE[name]):
         _assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
 
 
