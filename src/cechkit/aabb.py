@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cech import candidate_poles
 from .geometry import (
     DEFAULT_TOL,
     NORTH,
@@ -15,10 +16,9 @@ from .geometry import (
     DimensionMismatch,
     GeometryError,
     PointIntersection,
+    PoleEngine,
     SphereIntersection,
-    candidate_poles,
     contains,
-    contains_all_batch,
     disjoint_pair,
     eff_tol,
     intersect_two_spheres,
@@ -135,21 +135,20 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
     """
     if disjoint_pair(M, tol):
         return None
-    d = M.dimension
-    blocks = candidate_poles(M, tol)
-    tested = ((p, contains_all_batch(M, p.reshape(-1, d), tol), j) for _, p, j in blocks if len(p))
-    return pole_envelope(tested, d)
+    return pole_envelope(candidate_poles(PoleEngine(M.centers, tol=tol), M), M.dimension)
 
 
-def pole_envelope(tested, d: int) -> Box | None:
-    """The box of :func:`aabb_minimal` from ``(points, inside, jittered)``
-    blocks: :func:`candidate_poles` blocks with their flat containment mask."""
+def pole_envelope(blocks, d: int) -> Box | None:
+    """The box of :func:`aabb_minimal` from :func:`candidate_poles` blocks.
+
+    Its degeneracy warning says that a subset with affinely dependent
+    centers was skipped, or that an axis bound had no retained pole."""
     axes = np.arange(d)
     lows, highs = np.full(d, np.inf), np.full(d, -np.inf)
     kept_min, kept_max = np.full(d, np.inf), np.full(d, -np.inf)
     warn = False
-    for points, inside, jittered in tested:
-        warn = warn or bool(jittered.any())
+    for _, _, points, inside, deficient in blocks:
+        warn = warn or bool(deficient.any())
         kept = points.reshape(-1, d)[inside]
         if not len(kept):
             continue

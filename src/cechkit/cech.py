@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, DiskSystem, PoleEngine, combination_rows, contains_all_batch, gram_rows
+from .geometry import DEFAULT_TOL, DiskSystem, PoleEngine, combination_rows, contains_all_batch, disjoint_pair, gram_rows
 
 
 def jung_factor(d: int) -> float:
@@ -71,26 +71,46 @@ def rescale(M: DiskSystem, lam: float) -> DiskSystem:
     return DiskSystem.from_arrays(M.centers, M.radii * lam)
 
 
-def _first_witness(engine: PoleEngine, M: DiskSystem, tol: float):
+def candidate_poles(engine: PoleEngine, M: DiskSystem):
+    """Every pole candidate of ``engine``, tested against M (whose centers
+    are the engine's).
+
+    Yields one block ``(subsets, index, points, inside, deficient)`` per
+    subset size, in canonical order: subset size ascending, subsets
+    lexicographic, axes ascending, south before north.  ``subsets`` holds
+    all C(m, j) index rows of the size; ``index`` picks the n rows that
+    yield candidates, ``points`` (n, 2d, d) are their candidates and
+    ``inside`` the flat mask of those contained in every disk of M;
+    ``deficient`` marks the rows skipped for their affinely dependent
+    centers.  A single-point boundary intersection contributes its point
+    for every axis and orientation.  Subset size is capped at min(m, d+1):
+    larger boundary intersections are generically empty and Helly's
+    theorem covers decision completeness.
+    """
+    d = engine.dimension
+    for j in range(1, engine.max_size + 1):
+        index, points, deficient = engine.block(j, M.radii)
+        inside = contains_all_batch(M, points.reshape(-1, d), engine.tol)
+        yield engine.subsets(j), index, points, inside, deficient
+
+
+def _first_witness(engine: PoleEngine, M: DiskSystem):
     """The first candidate of ``engine``, in canonical order, contained in
     all disks of M (whose centers are the engine's).
 
     Returns ``(subset, witness, warn)``, with subset and witness None when
-    no candidate lies in every disk.  The degeneracy warning covers the
-    subsets enumerated up to the witness.
+    no candidate lies in every disk.  ``warn`` says that a subset with
+    affinely dependent centers was skipped before the witness, or anywhere
+    when there is none.
     """
     warn = False
-    for j in range(1, engine.max_size + 1):
-        index, points, jittered = engine.block(j, M.radii)
-        if not len(index):
-            continue
-        points = points.reshape(-1, engine.dimension)
-        hits = np.flatnonzero(contains_all_batch(M, points, tol))
+    for subsets, index, points, inside, deficient in candidate_poles(engine, M):
+        hits = np.flatnonzero(inside)
         if hits.size:
-            row = hits[0] // (2 * engine.dimension)
-            warn = warn or bool(jittered[: row + 1].any())
-            return engine.subsets(j)[index[row]], points[hits[0]].copy(), warn
-        warn = warn or bool(jittered.any())
+            row = index[hits[0] // (2 * engine.dimension)]
+            witness = points.reshape(-1, engine.dimension)[hits[0]].copy()
+            return subsets[row], witness, warn or bool(deficient[:row].any())
+        warn = warn or bool(deficient.any())
     return None, None, warn
 
 
@@ -100,11 +120,15 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     Enumerates the poles of every i-sphere arising from boundary
     intersections of up to min(m, d+1) disks; the first pole contained in
     all m disks is the witness.  Single-point boundary intersections are
-    their own witness candidates.
+    their own witness candidates.  A disjoint pair (:func:`disjoint_pair`)
+    retains no candidate, so it decides FALSE before any enumeration, with
+    no degeneracy warning.
     """
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
-    subset, witness, warn = _first_witness(PoleEngine(M.centers, tol=tol), M, tol)
+    if disjoint_pair(M, tol):
+        return CechDecision(False)
+    subset, witness, warn = _first_witness(PoleEngine(M.centers, tol=tol), M)
     if subset is None:
         return CechDecision(False, degeneracy_warning=warn)
     return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
@@ -129,8 +153,8 @@ def bisect_scales(M: DiskSystem, nu: float, eta: float, tol: float = DEFAULT_TOL
 
     def decide(lam):
         nonlocal warn
-        _, point, jittered = _first_witness(engine, rescale(M, lam), tol)
-        warn = warn or jittered
+        _, point, skipped = _first_witness(engine, rescale(M, lam))
+        warn = warn or skipped
         return point
 
     witness = decide(nu)

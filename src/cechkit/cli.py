@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from .aabb import aabb_minimal, pole_envelope
-from .cech import cech_scale, is_cech_system, rips_scale
+from .cech import candidate_poles, cech_scale, is_cech_system, rips_scale
 from .filtration import build_filtration
-from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, candidate_poles, contains_all_batch, disjoint_pair, preprocess
+from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, PoleEngine, disjoint_pair, preprocess
 
 SCHEMA = "cech-kit/1"
 
@@ -156,7 +156,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _finish(args, negative: bool, degenerate: bool) -> int:
     if degenerate:
-        print("warning: degenerate configuration, results from perturbed centers", file=sys.stderr)
+        print("warning: degenerate configuration, skipped disk subsets with affinely dependent centers", file=sys.stderr)
         if args.strict:
             return EXIT_DEGENERATE
     return EXIT_NEGATIVE if negative else EXIT_OK
@@ -279,9 +279,9 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
             f'r="{r * scale:.2f}" fill="steelblue" fill-opacity="0.15" '
             f'stroke="steelblue" stroke-width="1.5"/>'
         )
-    blocks = () if disjoint_pair(M, tol) else candidate_poles(M, tol)  # a disjoint pair retains no pole
-    tested = [(p, contains_all_batch(M, p.reshape(-1, 2), tol), j) for _, p, j in blocks if len(p)]
-    box = pole_envelope(tested, 2)
+    # A disjoint pair retains no pole.
+    blocks = [] if disjoint_pair(M, tol) else list(candidate_poles(PoleEngine(M.centers, tol=tol), M))
+    box = pole_envelope(blocks, 2)
     if box is not None:
         w = (box.upper[0] - box.lower[0]) * scale
         h = (box.upper[1] - box.lower[1]) * scale
@@ -290,7 +290,7 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
             f'width="{max(w, 1.0):.2f}" height="{max(h, 1.0):.2f}" '
             f'fill="none" stroke="crimson" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
-    for points, inside, _ in tested:
+    for _, _, points, inside, _ in blocks:
         for x, y in points.reshape(-1, 2)[inside]:
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="crimson"/>')
     parts.append("</svg>")
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--strict", action="store_true",
-        help="exit 3 when results come from a perturbed degenerate configuration",
+        help="exit 3 when the walk skipped a disk subset with affinely dependent centers before its answer",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

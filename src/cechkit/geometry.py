@@ -425,19 +425,6 @@ def poles_general(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Po
     return _pole_pair(sphere, q, u, tol)
 
 
-def pole_directions(sphere: ISphere) -> np.ndarray:
-    """Tangent projections of all basis vectors at once (d x d matrix).
-
-    Column q is the direction from the center toward the e_q-north pole
-    (unnormalized); a near-zero column marks a degenerate axis.
-    """
-    N = sphere.normals
-    gram = N @ N.T
-    _require_full_rank(gram, "normals are linearly dependent")
-    proj = np.eye(sphere.dimension) - N.T @ np.linalg.solve(gram, N)
-    return proj
-
-
 def boundary_poles(disk: Disk, q: int) -> tuple[Pole, Pole]:
     """e_q-poles of a full disk boundary: c -/+ r e_q."""
     d = disk.dimension
@@ -473,77 +460,24 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     return M.subsystem(kept), kept
 
 
-def _jittered(M: DiskSystem, seed: int) -> DiskSystem:
-    span = float(np.max(np.ptp(M.centers, axis=0))) + float(np.max(M.radii))
-    rng = np.random.default_rng(seed)
-    centers = M.centers + 1e-7 * span * rng.standard_normal(M.centers.shape)
-    return DiskSystem.from_arrays(centers, M.radii)
-
-
-def subset_boundary(
-    M: DiskSystem, indices: tuple[int, ...], tol: float = DEFAULT_TOL
-) -> tuple[IntersectionKind, bool]:
-    """Boundary intersection of a disk subset with degeneracy fallback.
-
-    On an affinely dependent subset, centers are jittered by 1e-7 of the
-    system diameter and the computation retried; the returned flag marks
-    that the result came from a perturbed configuration.  Identical disks
-    (full-sphere case) are reported as empty here: their sphere is already
-    enumerated as a single disk boundary.
-    """
-    sub = M.subsystem(indices)
-    try:
-        return reduce_sphere_system(sub, tol), False
-    except DegenerateConfiguration:
-        pass
-    except FullSphereError:
-        return EmptyIntersection(), False
-    try:
-        jit = _jittered(sub, seed=hash(indices) & 0x7FFFFFFF)
-        return reduce_sphere_system(jit, tol), True
-    except (DegenerateConfiguration, FullSphereError):
-        return EmptyIntersection(), True
-
-
-def _subset_poles(
-    M: DiskSystem, indices: tuple[int, ...], tol: float
-) -> tuple[np.ndarray | None, bool]:
-    """Per-subset path: the 2d candidate points of one subset and its jitter flag.
-
-    The points are None when the subset yields no candidate.
-    """
-    d = M.dimension
-    kind, jittered = subset_boundary(M, indices, tol)
-    if isinstance(kind, PointIntersection):
-        return np.repeat(kind.point[None, :], 2 * d, axis=0), jittered
-    if isinstance(kind, SphereIntersection):
-        sphere = kind.sphere
-        try:
-            proj = pole_directions(sphere)
-        except DegenerateConfiguration:
-            return None, jittered
-        pairs = [_pole_pair(sphere, q, proj[:, q].copy(), tol) for q in range(d)]
-        return np.array([pole.point for pair in pairs for pole in pair]), jittered
-    return None, jittered
-
-
 @dataclass(frozen=True)
 class _SizeBatch:
     """Radius-free data of the j-subsets (j >= 2) of an engine's disks.
 
-    ``rows`` lists the C(m, j) subsets; ``fast`` marks the full-rank rows
-    with no degenerate axis, the others hold placeholders.  ``unit[s, q]``
-    is the unit direction from the center toward the e_q-north pole (None
-    when j = d+1, which yields points only).
+    ``rows`` lists the C(m, j) subsets; ``deficient`` marks those with
+    affinely dependent centers, whose other fields hold placeholders.
+    ``offsets[s, 2q]`` and ``offsets[s, 2q + 1]`` are the unit steps from
+    the center to the e_q-south and e_q-north poles (None when j = d+1,
+    which yields points only).
     """
 
     rows: np.ndarray
-    fast: np.ndarray
+    deficient: np.ndarray
     members: np.ndarray
     normals: np.ndarray
     gram: np.ndarray
     sq_norms: np.ndarray
-    unit: np.ndarray | None
+    offsets: np.ndarray | None
 
 
 def combination_rows(k: int, j: int) -> np.ndarray:
@@ -574,9 +508,12 @@ class PoleEngine:
     The Gram matrices, their rank test and the pole directions depend on the
     centers only; they are computed once per subset size, on first use, and
     reused for any radii (every bisection step of :func:`cech_scale`).  Each
-    radius-dependent block costs one batched solve.  Rank-deficient subsets
-    and subsets with a degenerate axis take the per-subset path
-    (:func:`subset_boundary`, :func:`pole_directions`, :func:`_pole_pair`).
+    radius-dependent block costs one batched solve.
+
+    A subset with affinely dependent centers yields no candidate: each
+    extra sphere equation is linear in the point and either implied by, or
+    inconsistent with, those of a maximal independent subset, so its
+    boundary intersection is empty or that of a subset enumerated anyway.
     """
 
     def __init__(self, centers: np.ndarray, tol: float = DEFAULT_TOL):
@@ -601,32 +538,39 @@ class PoleEngine:
     def _prepare(self, rows: np.ndarray) -> _SizeBatch:
         """Radius-free data of an (N, j) array of disk index rows."""
         d, j = self.dimension, rows.shape[1]
-        members, normals, gram, fast = gram_rows(self.centers, rows)
-        unit = None
+        members, normals, gram, full = gram_rows(self.centers, rows)
+        offsets = None
         if j <= d:
             # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
             proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
             norms = np.linalg.norm(proj, axis=1)
-            fast &= np.all(norms > eff_tol(self.tol, 1.0), axis=1)
-            norms[~fast] = 1.0
-            proj /= norms[:, None, :]
-            unit = proj.transpose(0, 2, 1)
+            flat = norms <= eff_tol(self.tol, 1.0)
+            unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
+            offsets = np.stack([-unit, unit], axis=2)
+            # A degenerate axis (e_q in the span of the normals): pi_q is
+            # constant on the sphere, so both poles are one sphere point, the
+            # step along the first tangent direction (ISphere.tangent_basis).
+            s, q = np.nonzero(flat & full[:, None])
+            if len(s):
+                offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
+            offsets = offsets.reshape(-1, 2 * d, d)
         return _SizeBatch(
             rows=rows,
-            fast=fast,
+            deficient=~full,
             members=members,
             normals=normals,
             gram=gram,
             sq_norms=np.sum(normals**2, axis=2),
-            unit=unit,
+            offsets=offsets,
         )
 
     def block(self, j: int, radii: np.ndarray):
         """Candidates of the size-j subsets for the (m,) ``radii``.
 
-        Returns ``(index, points, jittered)``: the ascending indices into
+        Returns ``(index, points, deficient)``: the ascending indices into
         :meth:`subsets` of the subsets that yield candidates, their (n, 2d,
-        d) points and their jitter flags (see :func:`candidate_poles`).
+        d) points, and the (C(m, j),) mask of the subsets skipped for their
+        affinely dependent centers.
         """
         d, tol = self.dimension, self.tol
         if j == 1:
@@ -637,7 +581,7 @@ class PoleEngine:
             points[:, axes, 1, axes] += radii[:, None]
             return np.arange(len(points)), points.reshape(-1, 2 * d, d), np.zeros(len(points), dtype=bool)
         batch = self._size(j)
-        fast, members, normals = batch.fast, batch.members, batch.normals
+        full, members, normals = ~batch.deficient, batch.members, batch.normals
         rad = radii[batch.rows]
         sq = rad**2
         rhs = 0.5 * (sq[:, -1:] + batch.sq_norms - sq[:, :-1])
@@ -650,45 +594,11 @@ class PoleEngine:
         tol_sq = tol * scale * scale
         # The rules of reduce_sphere_system: a point within tol_sq of zero
         # radius, a sphere above it while j <= d, else empty.
-        sphere = (fast & (r2 > tol_sq)) if batch.unit is not None else np.zeros_like(fast)
-        keep = sphere | (fast & (np.abs(r2) <= tol_sq))
-        index = np.flatnonzero(keep)
+        sphere = (full & (r2 > tol_sq)) if batch.offsets is not None else np.zeros_like(full)
+        index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
         if sphere.any():
-            offset = np.sqrt(r2[sphere])[:, None, None] * batch.unit[sphere]
-            c = center[sphere][:, None, :]
-            points[sphere[index]] = np.stack([c - offset, c + offset], axis=2).reshape(-1, 2 * d, d)
-        jittered = np.zeros(len(index), dtype=bool)
-        slow = []
-        for row in np.flatnonzero(~fast):
-            system = DiskSystem.from_arrays(self.centers, radii)
-            poles, jit = _subset_poles(system, tuple(int(i) for i in batch.rows[row]), tol)
-            if poles is not None:
-                slow.append((row, poles, jit))
-        if slow:
-            rows, extra, jits = zip(*slow)
-            index = np.concatenate([index, rows])
-            order = np.argsort(index)
-            index = index[order]
-            points = np.concatenate([points, np.stack(extra)])[order]
-            jittered = np.concatenate([jittered, jits])[order]
-        return index, points, jittered
+            points[sphere[index]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * batch.offsets[sphere]
+        return index, points, batch.deficient
 
 
-def candidate_poles(M: DiskSystem, tol: float = DEFAULT_TOL):
-    """Enumerate every pole candidate of the i-spheres of a disk system.
-
-    Yields one block ``(subsets, points, jittered)`` per subset size, in
-    canonical order: subset size ascending, subsets lexicographic, axes
-    ascending, south before north.  ``subsets`` is an (n, j) index array,
-    ``points`` is (n, 2d, d), and ``jittered`` marks subsets computed from
-    perturbed centers; only subsets that yield candidates appear.  A
-    single-point boundary intersection contributes its point for every axis
-    and orientation.  Subset size is capped at min(m, d+1): larger boundary
-    intersections are generically empty and Helly's theorem covers decision
-    completeness.
-    """
-    engine = PoleEngine(M.centers, tol=tol)
-    for j in range(1, engine.max_size + 1):
-        index, points, jittered = engine.block(j, M.radii)
-        yield engine.subsets(j)[index], points, jittered

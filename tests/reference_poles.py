@@ -1,14 +1,16 @@
 """Per-subset pole enumeration: the reference the batched pole engine is tested against.
 
-This is the enumeration the package used before :class:`cechkit.geometry.PoleEngine`:
-one :func:`subset_boundary` call per subset, then :func:`pole_directions` and
-:func:`_pole_pair` for spheres, one :class:`Pole` per candidate and one
-:func:`contains_all_batch` call per subset.  Its consumers below keep the
-semantics of the package's decision, minimal box and SVG picture, and of the
-filtration before its subsystems were bisected in lockstep.  The loop form of
-:func:`cechkit.geometry.preprocess` is kept here as well.
+One :func:`reduce_sphere_system` call per subset, then :func:`poles_general`
+per axis for spheres, one :class:`Pole` per candidate and one
+:func:`contains_all_batch` call per subset.  A subset with affinely dependent
+centers (:class:`DegenerateConfiguration`) yields no pole and is flagged.
+Its consumers below keep the semantics of the package's decision, minimal box
+and SVG picture, and of the filtration before its subsystems were bisected in
+lockstep.  The loop forms of :func:`cechkit.geometry.preprocess` and
+:func:`cechkit.geometry.disjoint_pair` are kept here as well.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +23,8 @@ from cechkit import (
     ScaleReport,
     WeightedSimplex,
     jung_factor,
+    poles_general,
+    reduce_sphere_system,
     rescale,
     rips_scale,
 )
@@ -31,17 +35,15 @@ from cechkit.geometry import (
     EmptyIntersection,
     Pole,
     PointIntersection,
-    _pole_pair,
     boundary_poles,
     contains_all_batch,
     eff_tol,
-    pole_directions,
-    subset_boundary,
 )
 
 
 def candidate_poles(M, tol=DEFAULT_TOL):
-    """Yield ``(subset, poles, degenerate)`` per subset in canonical order."""
+    """Yield ``(subset, poles, dependent)`` per subset in canonical order;
+    ``dependent`` flags a subset skipped for its affinely dependent centers."""
     m, d = len(M), M.dimension
     for i in range(m):
         entries = []
@@ -50,7 +52,11 @@ def candidate_poles(M, tol=DEFAULT_TOL):
         yield (i,), entries, False
     for k in range(2, min(m, d + 1) + 1):
         for subset in combinations(range(m), k):
-            kind, degenerate = subset_boundary(M, subset, tol)
+            try:
+                kind = reduce_sphere_system(M.subsystem(subset), tol)
+            except DegenerateConfiguration:
+                yield subset, [], True
+                continue
             if isinstance(kind, EmptyIntersection):
                 continue
             entries = []
@@ -59,37 +65,47 @@ def candidate_poles(M, tol=DEFAULT_TOL):
                     entries.append(Pole(kind.point, q, SOUTH))
                     entries.append(Pole(kind.point, q, NORTH))
             else:
-                sphere = kind.sphere
-                try:
-                    proj = pole_directions(sphere)
-                except DegenerateConfiguration:
-                    continue
                 for q in range(d):
-                    entries.extend(_pole_pair(sphere, q, proj[:, q].copy(), tol))
-            yield subset, entries, degenerate
+                    entries.extend(poles_general(kind.sphere, q, tol))
+            yield subset, entries, False
 
 
 def retained(M, tol=DEFAULT_TOL):
-    """Yield ``(subset, pole, degenerate)`` for every pole contained in all disks."""
-    for subset, entries, degenerate in candidate_poles(M, tol):
+    """Yield ``(subset, pole)`` for every pole contained in all disks."""
+    for subset, entries, _ in candidate_poles(M, tol):
         if not entries:
             continue
         points = np.array([p.point for p in entries])
         for keep, pole in zip(contains_all_batch(M, points, tol), entries):
             if keep:
-                yield subset, pole, degenerate
+                yield subset, pole
 
 
 def retained_pole_points(M, tol=DEFAULT_TOL):
-    return [pole.point for _, pole, _ in retained(M, tol)]
+    return [pole.point for _, pole in retained(M, tol)]
+
+
+def disjoint_pair(M, tol=DEFAULT_TOL):
+    """Whether some pair's center distance exceeds the sum of the two
+    containment reaches r + tol (1 + r) by the factor 1 + 1e-12."""
+    reach = [r + tol * (1.0 + r) for r in M.radii]
+    return any(
+        math.dist(M.centers[i], M.centers[j]) > (reach[i] + reach[j]) * (1.0 + 1e-12)
+        for i, j in combinations(range(len(M)), 2)
+    )
 
 
 def is_cech_system(M, tol=DEFAULT_TOL):
+    """The decision: the first retained pole in canonical order.  The warning
+    says that a dependent subset came before the witness (anywhere when
+    FALSE); a disjoint pair decides FALSE with nothing walked."""
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
+    if disjoint_pair(M, tol):
+        return CechDecision(False)
     warn = False
-    for subset, entries, degenerate in candidate_poles(M, tol):
-        warn = warn or degenerate
+    for subset, entries, dependent in candidate_poles(M, tol):
+        warn = warn or dependent
         if not entries:
             continue
         points = np.array([p.point for p in entries])
@@ -173,8 +189,8 @@ def aabb_minimal(M, tol=DEFAULT_TOL):
     highs = [[] for _ in range(d)]
     all_points = []
     warn = False
-    for _, entries, degenerate in candidate_poles(M, tol):
-        warn = warn or degenerate
+    for _, entries, dependent in candidate_poles(M, tol):
+        warn = warn or dependent
         if not entries:
             continue
         points = np.array([p.point for p in entries])
@@ -229,7 +245,7 @@ def render_svg(M, tol=DEFAULT_TOL, size=640):
             f'width="{max(w, 1.0):.2f}" height="{max(h, 1.0):.2f}" '
             f'fill="none" stroke="crimson" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
-    for _, pole, _ in retained(M, tol):
+    for _, pole in retained(M, tol):
         parts.append(
             f'<circle cx="{sx(pole.point[0]):.2f}" cy="{sy(pole.point[1]):.2f}" '
             f'r="3" fill="crimson"/>'

@@ -307,23 +307,24 @@ def test_empty_system_inverts_box_intersection():
 
 
 # ---------------------------------------------------------------------------
-# The disjoint-pair exit of aabb_minimal and render_svg
+# The disjoint-pair exit of is_cech_system, aabb_minimal and render_svg
 # ---------------------------------------------------------------------------
 
 
 def _counting_candidate_poles(monkeypatch):
     import cechkit.aabb
+    import cechkit.cech
     import cechkit.cli
 
     calls = []
-    original = cechkit.aabb.candidate_poles
+    original = cechkit.cech.candidate_poles
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cechkit.aabb, "candidate_poles", counting)
-    monkeypatch.setattr(cechkit.cli, "candidate_poles", counting)
+    for module in (cechkit.aabb, cechkit.cech, cechkit.cli):
+        monkeypatch.setattr(module, "candidate_poles", counting)
     return calls
 
 
@@ -352,8 +353,11 @@ def test_disjoint_pair_exit_at_its_threshold(monkeypatch):
         M = DiskSystem.from_arrays([[0.0, 0.0], [0.6 * dist, 0.8 * dist]], [1.0, 1.0])
         del calls[:]
         boxes[offset] = _assert_box_and_picture_match_reference(M)
-        # Below the threshold both aabb_minimal and render_svg enumerate.
-        assert len(calls) == (2 if offset < 0 else 0), offset
+        decision = is_cech_system(M)
+        assert decision.is_cech == (boxes[offset] is not None), offset
+        assert not decision.degeneracy_warning
+        # Below the threshold the decision, aabb_minimal and render_svg enumerate.
+        assert len(calls) == (3 if offset < 0 else 0), offset
     assert boxes[-2e-12] is not None
     assert boxes[-1e-13] is None and boxes[1e-13] is None and boxes[1e-12] is None
 
@@ -367,4 +371,6 @@ def test_disjoint_pair_exit_on_degenerate_systems(monkeypatch, name):
         assert _assert_box_and_picture_match_reference(M) is None
     else:
         assert aabb_minimal(M) is None and reference_poles.aabb_minimal(M) is None
+    decision = is_cech_system(M)
+    assert not decision.is_cech and not decision.degeneracy_warning
     assert calls == []

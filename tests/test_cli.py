@@ -278,15 +278,26 @@ def test_preprocess_drops_dominated(tmp_path, capsys):
 
 
 def test_strict_escalates_degenerate(tmp_path, capsys):
-    # three collinear unit disks force the jittered fallback
+    warning = "warning: degenerate configuration, skipped disk subsets with affinely dependent centers\n"
+    # Disks 0 and 1 are concentric: pair (0, 1) is skipped before the witness
+    # of pair (0, 2).  Four disks around a hollow triangle, with disk 3 on
+    # the segment of disks 0 and 1: FALSE, after skipping triple (0, 1, 3).
+    for name, text, answer in (
+        ("concentric", "0,0,1\n0,0,1.5\n1.2727922061357855,1.2727922061357855,1\n", EXIT_OK),
+        ("hollow", "0,0,0.55\n1,0,0.55\n0.5,0.866,0.55\n0.5,0,0.55\n", EXIT_NEGATIVE),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        assert main(["check", str(path)]) == answer, name
+        assert capsys.readouterr().err == warning, name
+        assert main(["check", str(path), "--strict"]) == EXIT_DEGENERATE, name
+        assert capsys.readouterr().err == warning, name
+    # Three collinear unit disks: disk 0's pole (1, 0) is the witness, and
+    # the dependent triple comes after it.
     path = tmp_path / "col.csv"
     path.write_text("0,0,1\n1,0,1\n2,0,1\n")
-    code = main(["check", str(path), "--strict"])
-    err = capsys.readouterr().err
-    if code == EXIT_DEGENERATE:
-        assert "degenerate" in err
-    else:  # a witness can appear before any degenerate subset is touched
-        assert code in (EXIT_OK, EXIT_NEGATIVE)
+    assert main(["check", str(path), "--strict"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_input_format_override(tmp_path, capsys):

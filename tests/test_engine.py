@@ -1,12 +1,15 @@
 """Batched pole engine against the per-subset reference enumeration, and
 exact scales against the brackets of bisection."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import reference_poles as ref
 from cechkit import (
     DEFAULT_TOL,
+    CechDecision,
     DiskSystem,
     aabb_minimal,
     build_filtration,
@@ -16,8 +19,9 @@ from cechkit import (
     rescale,
     rips_scale,
 )
+from cechkit.cech import candidate_poles
 from cechkit.cli import render_svg
-from cechkit.geometry import CONTAINS_CHUNK, candidate_poles
+from cechkit.geometry import CONTAINS_CHUNK, PoleEngine
 from conftest import DEGENERATE, FACTORS, random_system, scalings
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
@@ -58,7 +62,7 @@ def test_engine_matches_reference_on_random_systems(d):
 def test_engine_matches_reference_across_contains_chunks():
     rng = np.random.default_rng(332)
     M = random_system(rng, 2, 32)
-    largest = max(points.shape[0] * points.shape[1] for _, points, _ in candidate_poles(M))
+    largest = max(points.shape[0] * points.shape[1] for _, _, points, _, _ in candidate_poles(PoleEngine(M.centers), M))
     assert largest > CONTAINS_CHUNK
     nu = rips_scale(M)
     for factor in (1.05, 1.3):
@@ -71,16 +75,53 @@ def test_engine_matches_reference_on_degenerate_systems(name):
         _assert_same(M)
 
 
-def test_duplicated_disks_yield_jittered_candidates():
-    # A jittered collinear or coplanar subset stays below the rank cutoff and
-    # comes out empty; a jittered duplicate pair is a thin lens.
-    warned = {
-        name
-        for name, system in DEGENERATE.items()
-        for M in scalings(*system)
-        if any(jittered.any() for _, _, jittered in candidate_poles(M))
-    }
-    assert warned == {"duplicate-2d", "duplicate-3d"}
+def _dependent_before(M, decision):
+    """Whether a subset of M with affinely dependent centers comes before the
+    decision's answer in canonical order (size ascending, lexicographic):
+    before its generating subset, or anywhere up to size d+1 when FALSE;
+    no subset is walked past a disjoint pair.  Ranks by np.linalg.matrix_rank."""
+    m, d = len(M), M.dimension
+    if not decision.is_cech and ref.disjoint_pair(M):
+        return False
+    for k in range(1, min(m, d + 1) + 1):
+        for subset in combinations(range(m), k):
+            if subset == decision.generating_subset:
+                return False
+            offsets = M.centers[list(subset[1:])] - M.centers[subset[0]]
+            if k > 1 and np.linalg.matrix_rank(offsets) < k - 1:
+                return True
+    return False
+
+
+# Disks 0 and 1 are concentric, so pair (0, 1) is dependent; no disk pole
+# lies in the lens of disks 0 and 2, whose tips are the first witness.
+CONCENTRIC = ([[0.0, 0.0], [0.0, 0.0], [1.8 / 2.0**0.5, 1.8 / 2.0**0.5]], [1.0, 1.5, 1.0])
+
+
+def test_warning_marks_dependent_subsets_before_the_answer():
+    # Every rescaling of a DEGENERATE system warns exactly when a dependent
+    # subset precedes its answer; the box warns whenever its walk met one.
+    outcomes = set()
+    for name, system in [*sorted(DEGENERATE.items()), ("concentric", CONCENTRIC)]:
+        for M in scalings(*system):
+            decision = is_cech_system(M)
+            warn = _dependent_before(M, decision)
+            assert decision.degeneracy_warning == warn, name
+            outcomes.add((decision.is_cech, warn))
+            box = aabb_minimal(M)
+            if box is not None and _dependent_before(M, CechDecision(False)):
+                assert box.degeneracy_warning, name
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    # Random centers are affinely independent: nothing is skipped.
+    rng = np.random.default_rng(343)
+    for d in (2, 3):
+        for m in range(2, 9):
+            M = random_system(rng, d, m)
+            assert not cech_scale(M, 1e-6).degeneracy_warning
+            for N in scalings(M.centers, M.radii):
+                box = aabb_minimal(N)
+                assert not is_cech_system(N).degeneracy_warning
+                assert box is None or not box.degeneracy_warning
 
 
 def test_cech_scale_matches_per_step_decisions_bit_for_bit():
@@ -97,7 +138,8 @@ def test_cech_scale_matches_per_step_decisions_bit_for_bit():
         assert got.degeneracy_warning == want.degeneracy_warning
         assert np.array_equal(got.witness, want.witness)
         warned += want.degeneracy_warning
-    # The duplicated-disk systems jitter, so the warning is exercised.
+    # The FALSE steps of the DEGENERATE systems skip dependent subsets, so
+    # the warning is exercised.
     assert warned > 0
 
 
