@@ -156,7 +156,11 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _finish(args, negative: bool, degenerate: bool) -> int:
     if degenerate:
-        print("warning: degenerate configuration, skipped disk subsets with affinely dependent centers", file=sys.stderr)
+        print(
+            "warning: degenerate configuration: skipped disk subsets with affinely dependent centers"
+            " (or, for a box, a bound with no pole of its own)",
+            file=sys.stderr,
+        )
         if args.strict:
             return EXIT_DEGENERATE
     return EXIT_NEGATIVE if negative else EXIT_OK
@@ -334,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--strict", action="store_true",
-        help="exit 3 when the walk skipped a disk subset with affinely dependent centers before its answer",
+        help="exit 3 on a degeneracy warning: the walk skipped a disk subset with affinely dependent "
+        "centers before its answer (or, for aabb, a box bound had no pole of its own)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -278,7 +278,10 @@ def test_preprocess_drops_dominated(tmp_path, capsys):
 
 
 def test_strict_escalates_degenerate(tmp_path, capsys):
-    warning = "warning: degenerate configuration, skipped disk subsets with affinely dependent centers\n"
+    warning = (
+        "warning: degenerate configuration: skipped disk subsets with affinely dependent centers"
+        " (or, for a box, a bound with no pole of its own)\n"
+    )
     # Disks 0 and 1 are concentric: pair (0, 1) is skipped before the witness
     # of pair (0, 2).  Four disks around a hollow triangle, with disk 3 on
     # the segment of disks 0 and 1: FALSE, after skipping triple (0, 1, 3).
