@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cech import candidate_poles
+from .cech import pole_walk
 from .geometry import (
     DEFAULT_TOL,
     NORTH,
@@ -16,10 +16,8 @@ from .geometry import (
     DimensionMismatch,
     GeometryError,
     PointIntersection,
-    PoleEngine,
     SphereIntersection,
     contains,
-    disjoint_pair,
     eff_tol,
     intersect_two_spheres,
     poles_codim1,
@@ -130,16 +128,14 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
     contained in all m disks (with tolerance), and takes the per-axis
     envelope: lower bound from retained south poles, upper bound from
     retained north poles.  A single-point boundary intersection counts for
-    every axis and orientation.  A disjoint pair (:func:`disjoint_pair`)
-    retains nothing, so it returns None before any enumeration.
+    every axis and orientation.  A disjoint pair retains nothing, so it
+    returns None before any enumeration (:func:`pole_walk`).
     """
-    if disjoint_pair(M, tol):
-        return None
-    return pole_envelope(candidate_poles(PoleEngine(M.centers, tol=tol), M), M.dimension)
+    return pole_envelope(pole_walk(M, tol), M.dimension)
 
 
 def pole_envelope(blocks, d: int) -> Box | None:
-    """The box of :func:`aabb_minimal` from :func:`candidate_poles` blocks.
+    """The box of :func:`aabb_minimal` from :func:`pole_walk` blocks.
 
     Its degeneracy warning says that a subset with affinely dependent
     centers was skipped, or that an axis bound had no retained pole."""

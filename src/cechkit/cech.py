@@ -94,22 +94,31 @@ def candidate_poles(engine: PoleEngine, M: DiskSystem):
         yield engine.subsets(j), index, points, inside, deficient
 
 
-def _first_witness(engine: PoleEngine, M: DiskSystem):
-    """The first candidate of ``engine``, in canonical order, contained in
-    all disks of M (whose centers are the engine's).
+def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
+    """The :func:`candidate_poles` blocks of M on a new engine, or none when
+    M has a disjoint pair (:func:`disjoint_pair`), which retains no
+    candidate: then the decision is FALSE with no degeneracy warning, and
+    there is no box."""
+    if disjoint_pair(M, tol):
+        return ()
+    return candidate_poles(PoleEngine(M.centers, tol=tol), M)
+
+
+def _first_witness(blocks):
+    """The first candidate of :func:`candidate_poles` blocks, in canonical
+    order, contained in every disk.
 
     Returns ``(subset, witness, warn)``, with subset and witness None when
-    no candidate lies in every disk.  ``warn`` says that a subset with
-    affinely dependent centers was skipped before the witness, or anywhere
-    when there is none.
+    there is none.  ``warn`` says that a subset with affinely dependent
+    centers was skipped before the witness, or anywhere when there is none.
     """
     warn = False
-    for subsets, index, points, inside, deficient in candidate_poles(engine, M):
+    for subsets, index, points, inside, deficient in blocks:
         hits = np.flatnonzero(inside)
         if hits.size:
-            row = index[hits[0] // (2 * engine.dimension)]
-            witness = points.reshape(-1, engine.dimension)[hits[0]].copy()
-            return subsets[row], witness, warn or bool(deficient[:row].any())
+            _, width, d = points.shape
+            row = index[hits[0] // width]
+            return subsets[row], points.reshape(-1, d)[hits[0]].copy(), warn or bool(deficient[:row].any())
         warn = warn or bool(deficient.any())
     return None, None, warn
 
@@ -120,15 +129,12 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     Enumerates the poles of every i-sphere arising from boundary
     intersections of up to min(m, d+1) disks; the first pole contained in
     all m disks is the witness.  Single-point boundary intersections are
-    their own witness candidates.  A disjoint pair (:func:`disjoint_pair`)
-    retains no candidate, so it decides FALSE before any enumeration, with
-    no degeneracy warning.
+    their own witness candidates.  A disjoint pair decides FALSE before any
+    enumeration (:func:`pole_walk`).
     """
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
-    if disjoint_pair(M, tol):
-        return CechDecision(False)
-    subset, witness, warn = _first_witness(PoleEngine(M.centers, tol=tol), M)
+    subset, witness, warn = _first_witness(pole_walk(M, tol))
     if subset is None:
         return CechDecision(False, degeneracy_warning=warn)
     return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
@@ -153,7 +159,7 @@ def bisect_scales(M: DiskSystem, nu: float, eta: float, tol: float = DEFAULT_TOL
 
     def decide(lam):
         nonlocal warn
-        _, point, skipped = _first_witness(engine, rescale(M, lam))
+        _, point, skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
         warn = warn or skipped
         return point
 

@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from .aabb import aabb_minimal, pole_envelope
-from .cech import candidate_poles, cech_scale, is_cech_system, rips_scale
+from .cech import cech_scale, is_cech_system, pole_walk, rips_scale
 from .filtration import build_filtration
-from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, PoleEngine, disjoint_pair, preprocess
+from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, preprocess
 
 SCHEMA = "cech-kit/1"
 
@@ -283,8 +283,7 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
             f'r="{r * scale:.2f}" fill="steelblue" fill-opacity="0.15" '
             f'stroke="steelblue" stroke-width="1.5"/>'
         )
-    # A disjoint pair retains no pole.
-    blocks = [] if disjoint_pair(M, tol) else list(candidate_poles(PoleEngine(M.centers, tol=tol), M))
+    blocks = list(pole_walk(M, tol))
     box = pole_envelope(blocks, 2)
     if box is not None:
         w = (box.upper[0] - box.lower[0]) * scale

@@ -312,9 +312,7 @@ def test_empty_system_inverts_box_intersection():
 
 
 def _counting_candidate_poles(monkeypatch):
-    import cechkit.aabb
     import cechkit.cech
-    import cechkit.cli
 
     calls = []
     original = cechkit.cech.candidate_poles
@@ -323,8 +321,7 @@ def _counting_candidate_poles(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (cechkit.aabb, cechkit.cech, cechkit.cli):
-        monkeypatch.setattr(module, "candidate_poles", counting)
+    monkeypatch.setattr(cechkit.cech, "candidate_poles", counting)
     return calls
 
 
