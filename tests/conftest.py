@@ -32,6 +32,26 @@ DEGENERATE = {
 }
 
 
+# Lattice systems: centers in {0, 1, 2}^d, so many subsets are collinear,
+# coplanar or repeat a center.
+LATTICE_SEED = 7002
+LATTICE_SIZES = (4, 5, 6, 7, 8)
+LATTICE_PER_SIZE = 3
+
+
+def lattice_systems():
+    """``(name, system)`` for LATTICE_PER_SIZE seeded lattice systems per
+    d in (2, 3) and m in LATTICE_SIZES, none with all centers equal."""
+    rng = np.random.default_rng(LATTICE_SEED)
+    for d in (2, 3):
+        for m in LATTICE_SIZES:
+            for i in range(LATTICE_PER_SIZE):
+                M = DiskSystem.from_arrays(rng.integers(0, 3, (m, d)), rng.uniform(0.5, 1.5, m))
+                while rips_scale(M) == 0.0:  # one repeated center: no rescaling
+                    M = DiskSystem.from_arrays(rng.integers(0, 3, (m, d)), rng.uniform(0.5, 1.5, m))
+                yield f"lattice-d{d}-m{m}-{i}", M
+
+
 def scalings(centers, radii):
     """The system of these arrays and its rescalings by FACTORS x its Rips scale."""
     M = DiskSystem.from_arrays(centers, radii)

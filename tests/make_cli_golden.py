@@ -6,9 +6,11 @@ of the checkout whose outputs are to be recorded:
     PYTHONPATH=src python3 tests/make_cli_golden.py tests/data/cli_golden.json
 
 The file holds, per system, its CSV text and, per command, the argument
-list, the exit code and the output: the parsed JSON of ``check``,
-``aabb``, ``cech-scale`` and ``filtration`` and the SVG text of ``plot``.
-``tests/test_golden.py`` replays every command and compares.
+list, the exit code, the output and the standard error.  Every command but
+``plot`` runs twice: with ``--format json``, whose output is held parsed,
+and in text under ``--strict``, whose output is held as printed; ``plot``
+holds its SVG text.  ``tests/test_golden.py`` replays every command and
+compares.
 """
 
 import contextlib
@@ -24,16 +26,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cechkit import DiskSystem, rescale, rips_scale  # noqa: E402
 from cechkit.cli import main  # noqa: E402
-from conftest import DEGENERATE  # noqa: E402
+from conftest import DEGENERATE, lattice_systems  # noqa: E402
 
 SEED = 7001
 FACTORS = (0.95, 1.05, 1.3)
 SIZES = (3, 4, 6, 9, 12, 16)
-# Lattice systems: centers in {0, 1, 2}^d, so many subsets are collinear,
-# coplanar or repeat a center.
-LATTICE_SEED = 7002
-LATTICE_SIZES = (4, 5, 6, 7, 8)
-LATTICE_PER_SIZE = 3
 
 
 def systems():
@@ -46,16 +43,10 @@ def systems():
             nu = rips_scale(base)
             for factor in FACTORS:
                 yield f"random-d{d}-m{m}-x{factor}", rescale(base, factor * nu), factor != 1.05
-    rng = np.random.default_rng(LATTICE_SEED)
-    for d in (2, 3):
-        for m in LATTICE_SIZES:
-            for i in range(LATTICE_PER_SIZE):
-                base = DiskSystem.from_arrays(rng.integers(0, 3, (m, d)), rng.uniform(0.5, 1.5, m))
-                while rips_scale(base) == 0.0:  # one repeated center: no rescaling
-                    base = DiskSystem.from_arrays(rng.integers(0, 3, (m, d)), rng.uniform(0.5, 1.5, m))
-                nu = rips_scale(base)
-                for factor in FACTORS:
-                    yield f"lattice-d{d}-m{m}-{i}-x{factor}", rescale(base, factor * nu), factor != 1.05
+    for name, base in lattice_systems():
+        nu = rips_scale(base)
+        for factor in FACTORS:
+            yield f"{name}-x{factor}", rescale(base, factor * nu), factor != 1.05
     for name in sorted(DEGENERATE):
         base = DiskSystem.from_arrays(*DEGENERATE[name])
         nu = rips_scale(base)
@@ -66,12 +57,13 @@ def systems():
 
 def commands(M, scaled):
     """Argument lists (without the input path) run on M."""
-    argvs = [["check", "--format", "json"], ["aabb", "--format", "json"]]
+    argvs = [["check"], ["aabb"], ["rips-scale"]]
+    if not scaled:
+        argvs.append(["cech-scale"])
+        argvs.append(["filtration", "--max-dim", str(min(2, len(M) - 1))])
+    argvs = [form for name, *rest in argvs for form in ([name, "--format", "json", *rest], [name, "--strict", *rest])]
     if M.dimension == 2:
         argvs.append(["plot"])
-    if not scaled:
-        argvs.append(["cech-scale", "--format", "json"])
-        argvs.append(["filtration", "--format", "json", "--max-dim", str(min(2, len(M) - 1))])
     return argvs
 
 
@@ -80,21 +72,22 @@ def to_csv(M) -> str:
 
 
 def run(argv, csv_text):
-    """Exit code and output of ``main(argv + [path])`` on a file holding csv_text."""
+    """Exit code, output and standard error of ``main(argv + [path])`` on a
+    file holding csv_text; JSON output is parsed."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "system.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, path])
     text = out.getvalue()
-    if argv[0] == "plot":
-        return code, text
+    if "json" not in argv:
+        return code, text, err.getvalue()
     payload = json.loads(text)
     if argv[0] == "filtration":  # compact: [scale, vertices] per simplex
         payload["simplices"] = [[s["scale"], s["vertices"]] for s in payload["simplices"]]
-    return code, payload
+    return code, payload, err.getvalue()
 
 
 def record():
@@ -103,8 +96,8 @@ def record():
         csv_text = to_csv(M)
         ops = []
         for argv in commands(M, scaled):
-            code, output = run(argv, csv_text)
-            ops.append({"argv": argv, "code": code, "output": output})
+            code, output, stderr = run(argv, csv_text)
+            ops.append({"argv": argv, "code": code, "output": output, "stderr": stderr})
         cases.append({"name": name, "csv": csv_text, "ops": ops})
     return {"seed": SEED, "cases": cases}
 

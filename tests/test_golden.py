@@ -1,8 +1,8 @@
 """CLI outputs against the golden file recorded by ``make_cli_golden.py``.
 
-Exit codes, decisions, generating subsets, warnings, iterations, brackets,
-Cech scales and SVG text must match exactly; witnesses, boxes and
-filtration scales to 1e-12.
+Exit codes, standard error, text output, decisions, generating subsets,
+warnings, iterations, brackets, Rips and Cech scales and SVG text must match
+exactly; JSON witnesses, boxes and filtration scales to 1e-12.
 """
 
 import json
@@ -26,7 +26,7 @@ def _close(got, want):
 
 
 def _assert_same_output(command, got, want):
-    if command == "plot":
+    if isinstance(want, str):  # text output and SVG
         assert got == want
         return
     assert got.keys() == want.keys()
@@ -46,6 +46,6 @@ def _assert_same_output(command, got, want):
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=[c["name"] for c in GOLDEN["cases"]])
 def test_cli_matches_golden_outputs(case):
     for op in case["ops"]:
-        code, output = run(op["argv"], case["csv"])
-        assert code == op["code"], op["argv"]
+        code, output, stderr = run(op["argv"], case["csv"])
+        assert (code, stderr) == (op["code"], op["stderr"]), op["argv"]
         _assert_same_output(op["argv"][0], output, op["output"])
