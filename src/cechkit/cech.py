@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, DiskSystem, PoleEngine, combination_rows, contains_all_batch, disjoint_pair, gram_rows
+from .geometry import (DEFAULT_TOL, DiskSystem, PoleEngine, center_distances, combination_rows, contains_all_batch,
+                       disjoint_pair, gram_rows)
 
 
 def jung_factor(d: int) -> float:
@@ -51,11 +52,7 @@ def require_precision(eta: float) -> None:
 
 def pair_ratios(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """(m, m) matrix of ||c_i - c_j|| / (r_i + r_j)."""
-    diff = centers[None, :, :] - centers[:, None, :]
-    # plain sqrt-of-sum-of-squares: bit-reproducible by the naive per-pair
-    # formula, unlike BLAS-backed np.linalg.norm
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return dist / (radii[None, :] + radii[:, None])
+    return center_distances(centers) / (radii[None, :] + radii[:, None])
 
 
 def rips_scale(M: DiskSystem) -> float:

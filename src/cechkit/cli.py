@@ -122,39 +122,29 @@ def serialize_disk_system(M: DiskSystem, format: str = "csv") -> str:
     raise ParseError(f"unknown format {format!r}")
 
 
-def _vec(v) -> list[float]:
-    return [float(x) for x in v]
-
-
-def _fmt_vec(v) -> str:
-    return "(" + ",".join(f"{float(x):.9g}" for x in v) + ")"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _load(args) -> DiskSystem:
+def _run(compute, args) -> int:
+    """Parse the input file, apply ``--preprocess``, and print and exit with
+    ``compute(args, M, label) -> (payload, text, negative, degenerate)``;
+    ``label[i]`` is the input index of disk i of M, and a None payload means
+    that compute wrote its output itself."""
     with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        source = fh.read()
     fmt = args.input_format
     if fmt == "auto":
         fmt = "json" if args.input.endswith(".json") else "csv"
-    system = parse_disk_system(text, fmt)
+    M = parse_disk_system(source, fmt)
+    label = range(len(M))
     if args.preprocess:
-        system, _ = preprocess(system, args.tol)
-    return system
-
-
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload}))
-    else:
-        print(text)
-
-
-def _finish(args, negative: bool, degenerate: bool) -> int:
+        M, label = preprocess(M, args.tol)
+    payload, text, negative, degenerate = compute(args, M, label)
+    if payload is not None:
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **payload}, allow_nan=False)
+              if args.format == "json" else text)
     if degenerate:
         print(
             "warning: degenerate configuration: skipped disk subsets with affinely dependent centers"
@@ -166,96 +156,63 @@ def _finish(args, negative: bool, degenerate: bool) -> int:
     return EXIT_NEGATIVE if negative else EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    M = _load(args)
+def _fields(result) -> dict:
+    """The fields of a result dataclass, in order, with arrays as lists."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in vars(result).items()}
+
+
+def _check(args, M, label):
     decision = is_cech_system(M, args.tol)
-    if decision.is_cech:
-        text = f"TRUE witness={_fmt_vec(decision.witness)}"
-    else:
-        text = "FALSE"
-    payload = {
-        "command": "check",
-        "is_cech": decision.is_cech,
-        "witness": _vec(decision.witness) if decision.witness is not None else None,
-        "generating_subset": list(decision.generating_subset or []) or None,
-        "degeneracy_warning": decision.degeneracy_warning,
-    }
-    _emit(args, payload, text)
-    return _finish(args, negative=not decision.is_cech, degenerate=decision.degeneracy_warning)
+    subset = [label[i] for i in decision.generating_subset or ()] or None
+    text = "TRUE witness=(" + ",".join(f"{x:.9g}" for x in decision.witness) + ")" if decision.is_cech else "FALSE"
+    return {**_fields(decision), "generating_subset": subset}, text, not decision.is_cech, decision.degeneracy_warning
 
 
-def _cmd_rips_scale(args) -> int:
-    M = _load(args)
+def _rips_scale(args, M, label):
     nu = rips_scale(M)
-    _emit(args, {"command": "rips-scale", "rips_scale": nu}, f"{nu:.12g}")
-    return EXIT_OK
+    return {"rips_scale": nu}, f"{nu:.12g}", False, False
 
 
-def _cmd_cech_scale(args) -> int:
-    M = _load(args)
+def _cech_scale(args, M, label):
     report = cech_scale(M, args.eta, args.tol)
+    lo, hi = report.bracket
     text = (
         f"rips={report.rips_scale:.12g} cech={report.cech_scale:.12g} "
-        f"bracket=[{report.bracket[0]:.12g},{report.bracket[1]:.12g}] "
-        f"iterations={report.iterations}"
+        f"bracket=[{lo:.12g},{hi:.12g}] iterations={report.iterations}"
     )
-    payload = {
-        "command": "cech-scale",
-        "rips_scale": report.rips_scale,
-        "cech_scale": report.cech_scale,
-        "eta": report.eta,
-        "bracket": [report.bracket[0], report.bracket[1]],
-        "iterations": report.iterations,
-        "witness": _vec(report.witness) if report.witness is not None else None,
-        "degeneracy_warning": report.degeneracy_warning,
-    }
-    _emit(args, payload, text)
-    return _finish(args, negative=False, degenerate=report.degeneracy_warning)
+    return _fields(report), text, False, report.degeneracy_warning
 
 
-def _cmd_aabb(args) -> int:
-    M = _load(args)
+def _aabb(args, M, label):
     box = aabb_minimal(M, args.tol)
     if box is None:
-        _emit(args, {"command": "aabb", "box": None}, "NO-INTERSECTION")
-        return EXIT_NEGATIVE
-    payload = {"command": "aabb", "box": box.intervals.tolist(), "degeneracy_warning": box.degeneracy_warning}
-    _emit(args, payload, "x".join(f"[{a:.9g},{b:.9g}]" for a, b in box.intervals))
-    return _finish(args, negative=False, degenerate=box.degeneracy_warning)
+        return {"box": None}, "NO-INTERSECTION", True, False
+    payload = {"box": box.intervals.tolist(), "degeneracy_warning": box.degeneracy_warning}
+    text = "x".join(f"[{a:.9g},{b:.9g}]" for a, b in box.intervals)
+    return payload, text, False, box.degeneracy_warning
 
 
-def _cmd_filtration(args) -> int:
-    M = _load(args)
-    max_dim = min(args.max_dim, len(M) - 1)
-    filtration = build_filtration(M, max_dim, args.eta, args.tol)
-    if args.format == "json":
-        payload = {
-            "command": "filtration",
-            "max_dimension": filtration.max_dimension,
-            "simplices": [
-                {"scale": s.scale, "vertices": list(s.vertices)}
-                for s in filtration.simplices
-            ],
-        }
-        print(json.dumps({"schema": SCHEMA, **payload}))
-    else:
-        for s in filtration.simplices:
-            print(f"{s.scale:.12g} " + " ".join(str(v) for v in s.vertices))
-    return EXIT_OK
+def _filtration(args, M, label):
+    filtration = build_filtration(M, min(args.max_dim, len(M) - 1), args.eta, args.tol)
+    simplices = [(s.scale, [label[v] for v in s.vertices]) for s in filtration.simplices]
+    payload = {
+        "max_dimension": filtration.max_dimension,
+        "simplices": [{"scale": scale, "vertices": vertices} for scale, vertices in simplices],
+    }
+    text = "\n".join(f"{scale:.12g} " + " ".join(map(str, vertices)) for scale, vertices in simplices)
+    return payload, text, False, False
 
 
-def _cmd_plot(args) -> int:
-    M = _load(args)
+def _plot(args, M, label):
     if M.dimension != 2:
-        print("error: plot requires a 2-dimensional disk system", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("plot requires a 2-dimensional disk system")
     svg = render_svg(M, args.tol)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
     else:
         print(svg)
-    return EXIT_OK
+    return None, None, False, False
 
 
 def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
@@ -305,18 +262,16 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+def _finite(positive: bool):
+    """argparse type of a finite float that is > 0 (``positive``) or >= 0."""
 
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            raise argparse.ArgumentTypeError(f"must be finite and {'>' if positive else '>='} 0, got {text}")
+        return value
 
-def _precision(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="disk system file (CSV or JSON)")
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="geometric tolerance (finite, >= 0)")
+    common.add_argument("--tol", type=_finite(False), default=DEFAULT_TOL, help="geometric tolerance (finite, >= 0)")
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument(
         "--input-format", choices=["auto", "csv", "json"], default="auto"
@@ -343,21 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("check", parents=[common], help="decide common intersection")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=functools.partial(_run, _check))
     p = sub.add_parser("rips-scale", parents=[common], help="Vietoris-Rips scale")
-    p.set_defaults(func=_cmd_rips_scale)
+    p.set_defaults(func=functools.partial(_run, _rips_scale))
     p = sub.add_parser("cech-scale", parents=[common], help="Cech scale by bisection")
-    p.add_argument("--eta", type=_precision, default=1e-6, help="bisection precision (finite, > 0)")
-    p.set_defaults(func=_cmd_cech_scale)
+    p.add_argument("--eta", type=_finite(True), default=1e-6, help="bisection precision (finite, > 0)")
+    p.set_defaults(func=functools.partial(_run, _cech_scale))
     p = sub.add_parser("aabb", parents=[common], help="minimal AABB of the intersection")
-    p.set_defaults(func=_cmd_aabb)
+    p.set_defaults(func=functools.partial(_run, _aabb))
     p = sub.add_parser("filtration", parents=[common], help="filtered Cech complex")
     p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--eta", type=_precision, default=1e-6, help="accepted (finite, > 0); scales are exact")
-    p.set_defaults(func=_cmd_filtration)
+    p.add_argument("--eta", type=_finite(True), default=1e-6, help="accepted (finite, > 0); scales are exact")
+    p.set_defaults(func=functools.partial(_run, _filtration))
     p = sub.add_parser("plot", parents=[common], help="SVG plot (2D only)")
     p.add_argument("--output", help="write SVG here instead of stdout")
-    p.set_defaults(func=_cmd_plot)
+    p.set_defaults(func=functools.partial(_run, _plot))
     return parser
 
 

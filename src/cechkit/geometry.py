@@ -8,6 +8,7 @@ every membership and classification test.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -108,8 +109,17 @@ class DiskSystem:
         centers, radii = np.array(centers, dtype=float), np.array(radii, dtype=float)
         if centers.ndim != 2 or centers.size < 1 or radii.shape != centers.shape[:1]:
             raise GeometryError(f"need (m, d) centers and (m,) radii, m, d >= 1; got {centers.shape}, {radii.shape}")
-        if not (np.isfinite(centers).all() and np.isfinite(radii).all() and (radii > 0.0).all()):
+        # NaN propagates through both reductions, so the four bounds settle
+        # finiteness, and they give the extent without another pass.
+        hi, lo = np.maximum.reduce(centers).tolist(), np.minimum.reduce(centers).tolist()
+        r_lo, r_hi = float(np.minimum.reduce(radii)), float(np.maximum.reduce(radii))
+        if not (all(map(math.isfinite, hi + lo)) and r_lo > 0.0 and math.isfinite(r_hi)):
             raise GeometryError("disk centers must be finite and radii finite and positive")
+        # A squared distance from a point of any disk to any center is at
+        # most d (ptp + r)^2: it must be a float.
+        span = max(map(operator.sub, hi, lo)) + r_hi
+        if not math.isfinite(len(hi) * span * span):
+            raise GeometryError(f"disk system too large: d (ptp + r)^2 = {len(hi)} ({span:.3g})^2 overflows a float")
         centers.flags.writeable = radii.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
@@ -235,13 +245,24 @@ def _reach(radii: np.ndarray, tol: float) -> np.ndarray:
     return radii + tol * (1.0 + radii)
 
 
+def center_distances(centers: np.ndarray) -> np.ndarray:
+    """(m, m) matrix of ||c_i - c_j||.
+
+    The arithmetic of np.linalg.norm over an axis, the square root of a
+    plain sum of squares, so every entry is bit-reproducible by the naive
+    per-pair formula.
+    """
+    diff = centers[:, None, :] - centers
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=2))
+
+
 def disjoint_pair(system: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
     """Whether no point can pass :func:`contains_all_batch` for some pair of
     disks: their center distance exceeds the sum of the two reaches by a
     factor 1 + 1e-12, enough for the rounding of every distance involved."""
     reach = _reach(system.radii, tol)
-    diff = system.centers[:, None, :] - system.centers
-    return bool((np.sqrt(np.add.reduce(diff * diff, axis=2)) > (reach[:, None] + reach) * (1.0 + 1e-12)).any())
+    return bool((center_distances(system.centers) > (reach[:, None] + reach) * (1.0 + 1e-12)).any())
 
 
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -450,7 +471,7 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     set is unchanged.  Returns the reduced system and the kept indices.
     """
     c, r = M.centers, M.radii
-    dist = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
+    dist = center_distances(c)
     scale = tol * (1.0 + np.abs(r[:, None] + r[None, :]))
     identical = (dist <= scale) & (np.abs(r[:, None] - r[None, :]) <= scale)
     # Entry (i, j) drops D_j: a later duplicate of D_i, or a disk containing

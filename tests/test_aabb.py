@@ -371,3 +371,12 @@ def test_disjoint_pair_exit_on_degenerate_systems(monkeypatch, name):
     decision = is_cech_system(M)
     assert not decision.is_cech and not decision.degeneracy_warning
     assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (centers, _) in DEGENERATE.items() if len(centers[0]) == 2))
+def test_minimal_matches_oracle_on_degenerate_systems(name):
+    M = DiskSystem.from_arrays(*DEGENERATE[name])
+    M = rescale(M, 1.3 * rips_scale(M))
+    box, reference = aabb_minimal(M), oracle_aabb(M)
+    assert box is not None and reference is not None
+    np.testing.assert_allclose(box.intervals, reference.intervals, atol=2e-3)

@@ -17,7 +17,8 @@ from cechkit import (
     rescale,
     rips_scale,
 )
-from conftest import random_system
+from cechkit.oracle import OracleConfig, oracle_minimax
+from conftest import DEGENERATE, lattice_systems, random_system, scalings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -204,3 +205,43 @@ def test_scale_shrinking_intersection_width(equilateral_system):
         box = aabb_minimal(rescale(equilateral_system, mu + eta))
         widths.append(float(np.max(box.widths)))
     assert widths[0] >= widths[1] >= widths[2]
+
+
+def test_answers_just_below_the_overflow_limit():
+    # Two disks at (+-1e153, 0) meet in a lens; at 1e154 the squared extent
+    # 2 (ptp + r)^2 overflows and DiskSystem refuses the system.
+    s = 1e153
+    M = DiskSystem.from_arrays([[-s, 0.0], [s, 0.0]], [1.01 * s, 1.01 * s])
+    assert is_cech_system(M).is_cech
+    half = s * math.sqrt(1.01**2 - 1.0)
+    np.testing.assert_allclose(aabb_minimal(M).intervals, [[-0.01 * s, 0.01 * s], [-half, half]], rtol=1e-9)
+    assert cech_scale(M).cech_scale == pytest.approx(1.0 / 1.01, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the oracle on degenerate inputs
+# ---------------------------------------------------------------------------
+
+LATTICE = dict(lattice_systems())
+# A 48-point grid refined 7 rounds: half the default oracle's time on these
+# systems, with a band at most 2.5 times as wide, and none of them in it.
+ORACLE = OracleConfig(initial_grid=48, refinement_rounds=7)
+
+
+def _oracle_decision(M):
+    """oracle_intersects(M), or None inside the oracle's band |value - 1| <= slack."""
+    result = oracle_minimax(M, ORACLE)
+    return None if abs(result.value - 1.0) <= result.slack else bool(result.value <= 1.0 + result.slack)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_decision_matches_oracle_on_degenerate_systems(name):
+    for M in scalings(*DEGENERATE[name]):
+        assert is_cech_system(M).is_cech == _oracle_decision(M)
+
+
+@pytest.mark.parametrize("name", list(LATTICE))
+def test_decision_matches_oracle_on_lattice_systems(name):
+    M = LATTICE[name]
+    M = rescale(M, 1.05 * rips_scale(M))
+    assert is_cech_system(M).is_cech == _oracle_decision(M)

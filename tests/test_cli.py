@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cechkit import cli
 from cechkit.cli import (
     EXIT_DEGENERATE,
     EXIT_NEGATIVE,
@@ -275,6 +276,49 @@ def test_preprocess_drops_dominated(tmp_path, capsys):
     # with the containing disk dropped, the scale is that of the far pair
     value = float(capsys.readouterr().out.strip().splitlines()[-1])
     assert value == pytest.approx(math.hypot(5.0, 0.0) / 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flags, vertices",
+    [([], [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]), (["--preprocess"], [[1], [2], [1, 2]])],
+    ids=["input", "preprocess"],
+)
+def test_indices_name_input_disks(tmp_path, capsys, flags, vertices):
+    # Disk 0 contains the other two, so --preprocess drops it; generating
+    # subsets and filtration vertices still name lines of the input.
+    path = tmp_path / "dom.csv"
+    path.write_text("0.1,0,5\n0,0,1\n0.5,0,1\n")
+    outputs = []
+    for argv in (["check", "--format", "json"], ["check"], ["filtration", "--format", "json"], ["filtration"]):
+        assert main([*argv, *flags, str(path)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    check_json, check_text, filtration_json, filtration_text = outputs
+    assert json.loads(check_json)["generating_subset"] == [1]
+    assert check_text == "TRUE witness=(1,0)\n"
+    assert [s["vertices"] for s in json.loads(filtration_json)["simplices"]] == vertices
+    assert [list(map(int, line.split()[1:])) for line in filtration_text.splitlines()] == vertices
+
+
+@pytest.mark.parametrize("command", ["check", "rips-scale", "cech-scale", "aabb", "filtration", "plot"])
+@pytest.mark.parametrize(
+    "text", ["-1e154,0,1.01e154\n1e154,0,1.01e154\n", "-1e200,0,1\n1e200,0,1\n"], ids=["lens-1e154", "far-1e200"]
+)
+def test_overflowing_extent_is_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    assert main([command, "--format", "json", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: disk system too large")
+
+
+def test_json_output_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch):
+    # JSON has no Infinity or NaN: printing one would be invalid output.
+    monkeypatch.setattr(cli, "rips_scale", lambda M: math.inf)
+    path = tmp_path / "pair.csv"
+    path.write_text("0,0,1\n1,0,1\n")
+    assert main(["rips-scale", "--format", "json", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_strict_escalates_degenerate(tmp_path, capsys):

@@ -445,8 +445,11 @@ def test_disk_system_rejects_mixed_dimensions():
         ([[0.0, 0.0]], [0.0]),
         ([0.0, 0.0], [1.0, 1.0]),
         (np.zeros((0, 2)), []),
+        ([[-1e154, 0.0], [1e154, 0.0]], [1.01e154, 1.01e154]),
+        ([[-1e200, 0.0], [1e200, 0.0]], [1.0, 1.0]),
     ],
-    ids=["fewer-radii-than-centers", "nan-center", "inf-radius", "zero-radius", "1d-centers", "no-disks"],
+    ids=["fewer-radii-than-centers", "nan-center", "inf-radius", "zero-radius", "1d-centers", "no-disks",
+         "squared-extent-overflows-1e154", "squared-extent-overflows-1e200"],
 )
 def test_disk_system_from_arrays_rejects(centers, radii):
     with pytest.raises(GeometryError):
