@@ -194,13 +194,11 @@ def _aabb(args, M, label):
 
 def _filtration(args, M, label):
     filtration = build_filtration(M, min(args.max_dim, len(M) - 1), args.eta, args.tol)
-    simplices = [(s.scale, [label[v] for v in s.vertices]) for s in filtration.simplices]
-    payload = {
-        "max_dimension": filtration.max_dimension,
-        "simplices": [{"scale": scale, "vertices": vertices} for scale, vertices in simplices],
-    }
-    text = "\n".join(f"{scale:.12g} " + " ".join(map(str, vertices)) for scale, vertices in simplices)
-    return payload, text, False, False
+    simplices = [{"scale": s.scale, "vertices": [label[v] for v in s.vertices]} for s in filtration.simplices]
+    text = None
+    if args.format == "text":  # formatted only when printed: it costs more than the JSON
+        text = "\n".join(f"{s['scale']:.12g} " + " ".join(map(str, s["vertices"])) for s in simplices)
+    return {"max_dimension": filtration.max_dimension, "simplices": simplices}, text, False, False
 
 
 def _plot(args, M, label):

@@ -229,7 +229,8 @@ ORACLE = OracleConfig(initial_grid=48, refinement_rounds=7)
 
 
 def _oracle_decision(M):
-    """oracle_intersects(M), or None inside the oracle's band |value - 1| <= slack."""
+    """oracle_intersects(M); inside the oracle's band |value - 1| <= slack,
+    None, which no decision equals."""
     result = oracle_minimax(M, ORACLE)
     return None if abs(result.value - 1.0) <= result.slack else bool(result.value <= 1.0 + result.slack)
 

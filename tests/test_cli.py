@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from cechkit import cli
 from cechkit.cli import (
     EXIT_DEGENERATE,
     EXIT_NEGATIVE,
@@ -313,7 +312,7 @@ def test_overflowing_extent_is_usage_error(tmp_path, capsys, command, text):
 
 def test_json_output_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch):
     # JSON has no Infinity or NaN: printing one would be invalid output.
-    monkeypatch.setattr(cli, "rips_scale", lambda M: math.inf)
+    monkeypatch.setattr("cechkit.cli.rips_scale", lambda M: math.inf)
     path = tmp_path / "pair.csv"
     path.write_text("0,0,1\n1,0,1\n")
     assert main(["rips-scale", "--format", "json", str(path)]) == EXIT_USAGE
