@@ -9,14 +9,13 @@ import numpy as np
 from .cech import pole_walk
 from .geometry import (
     DEFAULT_TOL,
-    NORTH,
-    SOUTH,
     Disk,
     DiskSystem,
     DimensionMismatch,
     GeometryError,
     PointIntersection,
     SphereIntersection,
+    boundary_poles,
     contains,
     eff_tol,
     intersect_two_spheres,
@@ -93,31 +92,25 @@ def aabb_two_disks(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> Box | None:
         return None
     border = None  # boundary intersection computed lazily
 
-    def border_bound(q: int, orientation: str) -> float:
+    def border_bound(q: int, col: int) -> float:
         nonlocal border
         if border is None:
             border = intersect_two_spheres(d1, d2, tol)
         if isinstance(border, PointIntersection):
             return float(border.point[q])
         if isinstance(border, SphereIntersection):
-            south, north = poles_codim1(border.sphere, q, tol)
-            pole = south if orientation == SOUTH else north
-            return float(pole.point[q])
+            return float(poles_codim1(border.sphere, q, tol)[col].point[q])
         raise GeometryError("intersecting disks with no boundary bound")  # pragma: no cover
 
     intervals = np.empty((d, 2))
     for q in range(d):
-        for col, orientation, sign in ((0, SOUTH, -1.0), (1, NORTH, 1.0)):
-            offset = np.zeros(d)
-            offset[q] = sign
-            p1 = d1.center + d1.radius * offset
-            p2 = d2.center + d2.radius * offset
-            if contains(d2, p1, tol):
-                intervals[q, col] = p1[q]
-            elif contains(d1, p2, tol):
-                intervals[q, col] = p2[q]
+        for col, (p1, p2) in enumerate(zip(boundary_poles(d1, q), boundary_poles(d2, q))):
+            if contains(d2, p1.point, tol):
+                intervals[q, col] = p1.point[q]
+            elif contains(d1, p2.point, tol):
+                intervals[q, col] = p2.point[q]
             else:
-                intervals[q, col] = border_bound(q, orientation)
+                intervals[q, col] = border_bound(q, col)
     return Box(intervals)
 
 

@@ -44,12 +44,6 @@ class ScaleReport:
     degeneracy_warning: bool = False
 
 
-def require_precision(eta: float) -> None:
-    """Raise ValueError unless eta is finite and positive."""
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
-
-
 def pair_ratios(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """(m, m) matrix of ||c_i - c_j|| / (r_i + r_j)."""
     return center_distances(centers) / (radii[None, :] + radii[:, None])
@@ -57,10 +51,7 @@ def pair_ratios(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def rips_scale(M: DiskSystem) -> float:
     """Vietoris-Rips scale: max over pairs of ||c_i - c_j|| / (r_i + r_j)."""
-    m = len(M)
-    if m == 1:
-        return 0.0
-    return float(np.max(pair_ratios(M.centers, M.radii)[np.triu_indices(m, 1)]))
+    return float(np.max(pair_ratios(M.centers, M.radii)[np.triu_indices(len(M), 1)], initial=0.0))
 
 
 def rescale(M: DiskSystem, lam: float) -> DiskSystem:
@@ -137,59 +128,47 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
 
 
-def bisect_scales(M: DiskSystem, nu: float, eta: float, tol: float = DEFAULT_TOL):
-    """Bisect the Cech scale of M, whose Rips scale is ``nu``.
-
-    M stops at nu when its nu-rescaling intersects (exact for one or two
-    disks); otherwise the bracket [nu, sqrt(2d/(d+1)) nu] is halved while it
-    is wider than eta and has a float strictly inside.  Returns ``(lo, hi,
-    iterations, witness, warn)``: hi is the certified scale, ``witness`` a
-    point of M rescaled to hi, and ``warn`` the degeneracy warning of every
-    decision made.
-    """
-    if nu == 0.0:
-        # Coincident centers: every rescaling intersects.
-        return 0.0, 0.0, 0, M.centers[0].copy(), False
-    # Rescaling keeps the centers, so one engine serves every step.
-    engine = PoleEngine(M.centers, tol=tol)
-    warn = False
-
-    def decide(lam):
-        nonlocal warn
-        _, point, skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
-        warn = warn or skipped
-        return point
-
-    witness = decide(nu)
-    if witness is not None:
-        return nu, nu, 0, witness, warn
-    lo, hi, iterations = nu, jung_factor(M.dimension) * nu, 0
-    while hi - lo > eta:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: eta is below their spacing
-            break
-        point = decide(mid)
-        iterations += 1
-        if point is None:
-            lo = mid
-        else:
-            hi, witness = mid, point
-    if witness is None:
-        witness = decide(hi)
-    return lo, hi, iterations, witness, warn
-
-
 def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> ScaleReport:
     """Approximate the Cech scale of M by bisection with precision eta.
 
-    Returns the Rips scale immediately when the nu-rescaled system already
-    intersects (exact for one or two disks); otherwise bisects inside
-    [nu, sqrt(2d/(d+1)) nu] and returns the upper endpoint, a certified
-    scale at which the rescaled system intersects.
+    Returns the Rips scale nu when the nu-rescaled system already
+    intersects (exact for one or two disks, and for coincident centers,
+    where nu = 0); otherwise the bracket [nu, sqrt(2d/(d+1)) nu] is halved
+    while it is wider than eta and has a float strictly inside, and the
+    upper endpoint is returned: a certified scale at which the rescaled
+    system intersects, with ``witness`` a point of it.  The degeneracy
+    warning covers every decision made.
     """
-    require_precision(eta)
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     nu = rips_scale(M)
-    lo, hi, iterations, witness, warn = bisect_scales(M, nu, eta, tol)
+    lo = hi = nu
+    iterations, warn, witness = 0, False, M.centers[0].copy()
+    if nu > 0.0:
+        # Rescaling keeps the centers, so one engine serves every step.
+        engine = PoleEngine(M.centers, tol=tol)
+
+        def decide(lam):
+            nonlocal warn
+            _, point, skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
+            warn = warn or skipped
+            return point
+
+        witness = decide(nu)
+        if witness is None:
+            hi = jung_factor(M.dimension) * nu
+            while hi - lo > eta:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # adjacent floats: eta is below their spacing
+                    break
+                point = decide(mid)
+                iterations += 1
+                if point is None:
+                    lo = mid
+                else:
+                    hi, witness = mid, point
+            if witness is None:
+                witness = decide(hi)
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
 
 
@@ -206,6 +185,11 @@ def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np
     result is NaN otherwise, and for affinely dependent centers, where a
     proper subset carries the scale.
     """
+    # B^2 and 4AC are fourth powers of length, but the roots are scale-free:
+    # dividing by the power of two above the extent (never multiplying, so
+    # no center overflows) leaves every later rounding unchanged.
+    unit = 2.0 ** max(math.frexp(float(np.ptp(centers, axis=0).max() + radii.max()))[1], 0)
+    centers, radii = centers / unit, radii / unit
     members, normals, gram, full = gram_rows(centers, rows)
     sq = radii[rows] ** 2
     # Columns: the constant part and the t-coefficient of the right-hand side.

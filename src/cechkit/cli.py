@@ -193,7 +193,7 @@ def _aabb(args, M, label):
 
 
 def _filtration(args, M, label):
-    filtration = build_filtration(M, min(args.max_dim, len(M) - 1), args.eta, args.tol)
+    filtration = build_filtration(M, min(args.max_dim, len(M) - 1))
     simplices = [{"scale": s.scale, "vertices": [label[v] for v in s.vertices]} for s in filtration.simplices]
     text = None
     if args.format == "text":  # formatted only when printed: it costs more than the JSON
@@ -213,8 +213,9 @@ def _plot(args, M, label):
     return None, None, False, False
 
 
-def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL, size: int = 640) -> str:
+def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL) -> str:
     """SVG 1.1 picture of a 2D system: disks, retained poles, AABB."""
+    size = 640  # width and height, in pixels
     lo = np.min(M.centers - M.radii[:, None], axis=0)
     hi = np.max(M.centers + M.radii[:, None], axis=0)
     span = float(np.max(hi - lo))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cech import pair_ratios, require_precision, subset_roots
-from .geometry import DEFAULT_TOL, DiskSystem, combination_rows
+from .cech import pair_ratios, subset_roots
+from .geometry import DiskSystem, combination_rows
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,18 @@ class Filtration:
         return [s for s in self.simplices if s.scale <= lam]
 
 
-def build_filtration(
-    M: DiskSystem, max_dim: int, eta: float = 1e-6, tol: float = DEFAULT_TOL
-) -> Filtration:
+def build_filtration(M: DiskSystem, max_dim: int) -> Filtration:
     """Weighted simplices over all disk subsets of size <= max_dim + 1.
 
     A simplex enters at the exact Cech scale of its disks, by the
     radius-function recursion: the largest of its facets' scales and, for
     at most d+1 disks, its own valid closed-form root
     (:func:`~cechkit.cech.subset_roots`).  Pairs enter at their Rips ratio.
-    No scale is bisected: ``eta`` must still be finite and positive, and
-    ``tol`` is accepted, but neither changes a scale.
+    No scale is bisected and no tolerance applies.
     """
     m, d = len(M), M.dimension
     if not 0 <= max_dim <= m - 1:
         raise ValueError(f"max_dim must be in [0, {m - 1}], got {max_dim}")
-    require_precision(eta)
     scales: dict[tuple[int, ...], float] = {(i,): 0.0 for i in range(m)}
     ratios = pair_ratios(M.centers, M.radii)
     for k in range(2, max_dim + 2):

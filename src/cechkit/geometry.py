@@ -155,7 +155,6 @@ class ISphere:
     center: np.ndarray
     radius: float
     normals: np.ndarray
-    generators: tuple[int, ...] = ()
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
@@ -167,7 +166,6 @@ class ISphere:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "normals", n)
-        object.__setattr__(self, "generators", tuple(self.generators))
 
     @property
     def dimension(self) -> int:
@@ -381,58 +379,14 @@ def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> Intersectio
 # ---------------------------------------------------------------------------
 
 
-def _degenerate_pair(sphere: ISphere, q: int) -> tuple[Pole, Pole]:
-    # pi_q is constant on the sphere; report an arbitrary on-sphere sample.
-    if sphere.radius == 0.0:
-        point = sphere.center
-    else:
-        tangent = sphere.tangent_basis()
-        if tangent.shape[0] == 0:
-            point = sphere.center
-        else:
-            point = sphere.center + sphere.radius * tangent[0]
-    return (
-        Pole(point, q, SOUTH, degenerate_axis=True),
-        Pole(point, q, NORTH, degenerate_axis=True),
-    )
-
-
-def _pole_pair(sphere: ISphere, q: int, direction: np.ndarray, tol: float) -> tuple[Pole, Pole]:
-    norm = float(np.linalg.norm(direction))
-    if norm <= eff_tol(tol, 1.0):
-        return _degenerate_pair(sphere, q)
-    unit = direction / norm
-    c, r = sphere.center, sphere.radius
-    return (
-        Pole(c - r * unit, q, SOUTH),
-        Pole(c + r * unit, q, NORTH),
-    )
-
-
-def poles_codim1(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Pole, Pole]:
-    """e_q-poles of a sphere with exactly one normal.
-
-    The tangent direction is the projection of e_q onto the hyperplane,
-    v = e_q - (pi_q(N)/||N||^2) N; the poles are c +/- r v/||v||.
-    """
-    d = sphere.dimension
-    if not 0 <= q < d:
-        raise GeometryError(f"axis {q} out of range for dimension {d}")
-    if sphere.codimension != 1:
-        raise GeometryError("poles_codim1 requires exactly one normal")
-    n = sphere.normals[0]
-    v = -(n[q] / float(n @ n)) * n
-    v[q] += 1.0
-    return _pole_pair(sphere, q, v, tol)
-
-
 def poles_general(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Pole, Pole]:
-    """e_q-poles of an i-sphere with k linearly independent normals.
+    """e_q-poles of an i-sphere with k >= 0 linearly independent normals.
 
     Solves the Gram system A w = -N e_q and moves along
     u = e_q + sum_j w_j n_j, the projection of e_q onto the tangent space;
     the poles are c +/- r u/||u||.  When e_q lies in the span of the
-    normals the axis is degenerate and pi_q is constant on the sphere.
+    normals the axis is degenerate: pi_q is constant on the sphere, and both
+    poles are one on-sphere sample.
     """
     d = sphere.dimension
     if not 0 <= q < d:
@@ -440,23 +394,29 @@ def poles_general(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Po
     N = sphere.normals
     gram = N @ N.T
     _require_full_rank(gram, "normals are linearly dependent")
-    w = np.linalg.solve(gram, -N[:, q])
-    u = w @ N
+    u = np.linalg.solve(gram, -N[:, q]) @ N
     u[q] += 1.0
-    return _pole_pair(sphere, q, u, tol)
+    c, r = sphere.center, sphere.radius
+    norm = float(np.linalg.norm(u))
+    if norm <= eff_tol(tol, 1.0):
+        tangent = sphere.tangent_basis()
+        point = c + r * tangent[0] if r != 0.0 and len(tangent) else c
+        return Pole(point, q, SOUTH, degenerate_axis=True), Pole(point, q, NORTH, degenerate_axis=True)
+    unit = u / norm
+    return Pole(c - r * unit, q, SOUTH), Pole(c + r * unit, q, NORTH)
+
+
+def poles_codim1(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Pole, Pole]:
+    """e_q-poles of a sphere with exactly one normal N: :func:`poles_general`,
+    whose direction is then v = e_q - (pi_q(N)/||N||^2) N."""
+    if sphere.codimension != 1:
+        raise GeometryError("poles_codim1 requires exactly one normal")
+    return poles_general(sphere, q, tol)
 
 
 def boundary_poles(disk: Disk, q: int) -> tuple[Pole, Pole]:
-    """e_q-poles of a full disk boundary: c -/+ r e_q."""
-    d = disk.dimension
-    if not 0 <= q < d:
-        raise GeometryError(f"axis {q} out of range for dimension {d}")
-    offset = np.zeros(d)
-    offset[q] = disk.radius
-    return (
-        Pole(disk.center - offset, q, SOUTH),
-        Pole(disk.center + offset, q, NORTH),
-    )
+    """e_q-poles of a full disk boundary, the sphere with no normals: c -/+ r e_q."""
+    return poles_general(ISphere(disk.center, disk.radius, np.empty((0, disk.dimension))), q)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_criterion_10_filtration_monotonicity(capsys):
         d = int(rng.integers(2, 4))
         m = int(rng.integers(4, 9))
         M = random_system(rng, d, m)
-        scales = build_filtration(M, max_dim=3, eta=eta).scales()
+        scales = build_filtration(M, max_dim=3).scales()
         for simplex, scale in scales.items():
             for p in range(len(simplex)):
                 facet = simplex[:p] + simplex[p + 1 :]

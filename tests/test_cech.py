@@ -1,6 +1,7 @@
 """Rips scale, Cech-system decision and Cech-scale bisection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from cechkit import (
     DEFAULT_TOL,
     DiskSystem,
     aabb_minimal,
-    build_filtration,
     cech_scale,
     exact_cech_scale,
     is_cech_system,
@@ -175,12 +175,25 @@ def test_scale_single_disk():
     assert report.rips_scale == 0.0
 
 
+@pytest.mark.parametrize(
+    "centers, radii",
+    [([[1.0, -2.0]] * 3, [1.0, 2.0, 0.5]), ([[0.5, 0.0, 3.0]] * 2, [1.0, 1.0])],
+    ids=["nested-2d", "identical-3d"],
+)
+def test_scale_shared_center(centers, radii):
+    # nu = 0: every rescaling meets at the shared center, with no bisection.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cech_scale(DiskSystem.from_arrays(centers, radii))
+    assert (report.rips_scale, report.cech_scale, report.bracket, report.iterations) == (0.0, 0.0, (0.0, 0.0), 0)
+    np.testing.assert_array_equal(report.witness, centers[0])
+    assert not report.degeneracy_warning
+
+
 def test_scale_rejects_bad_eta(equilateral_system):
     for eta in (0.0, math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="eta must be finite and positive"):
             cech_scale(equilateral_system, eta)
-        with pytest.raises(ValueError, match="eta must be finite and positive"):
-            build_filtration(equilateral_system, 2, eta)
 
 
 @pytest.mark.parametrize("eta", [1e-300, 5e-324])

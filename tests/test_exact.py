@@ -1,8 +1,10 @@
 """Exact Cech scales from closed-form subset roots."""
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -30,6 +32,21 @@ def test_exact_scale_of_pair_and_single_disk():
     M = DiskSystem.from_arrays([[0.0, 0.0, 0.0], [3.0, 1.0, -2.0]], [1.0, 2.5])
     assert exact_cech_scale(M) == rips_scale(M)
     assert exact_cech_scale(M.subsystem([1])) == 0.0
+
+
+@pytest.mark.parametrize("s", [1e78, 1e100, 1e150])
+def test_huge_triple_keeps_its_scale(s):
+    # B^2 and 4AC of subset_roots are fourth powers of length: without
+    # scaling they overflow from about 1e77.
+    def scales(s):
+        M = DiskSystem.from_arrays(s * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.9]]), [s] * 3)
+        return build_filtration(M, 2).scales()[(0, 1, 2)], exact_cech_scale(M)
+
+    want = scales(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scales(s)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # Centers in [0, 1]^d and radii in [0.1, 1], as in random_system; hypothesis

@@ -45,7 +45,7 @@ def test_face_monotonicity():
     for _ in range(20):
         d = int(rng.integers(2, 4))
         M = random_system(rng, d, int(rng.integers(4, 7)))
-        filtration = build_filtration(M, max_dim=3, eta=eta)
+        filtration = build_filtration(M, max_dim=3)
         scales = filtration.scales()
         for simplex, scale in scales.items():
             for p in range(len(simplex)):
@@ -72,7 +72,7 @@ def test_level_consistency():
     rng = np.random.default_rng(97)
     eta = 1e-6
     M = random_system(rng, 2, 5)
-    filtration = build_filtration(M, max_dim=2, eta=eta)
+    filtration = build_filtration(M, max_dim=2)
     for s in filtration.simplices:
         if s.scale == 0.0:
             continue
@@ -108,5 +108,3 @@ def test_dedup_consistency():
 def test_rejects_bad_arguments(equilateral_system):
     with pytest.raises(ValueError):
         build_filtration(equilateral_system, max_dim=5)
-    with pytest.raises(ValueError):
-        build_filtration(equilateral_system, max_dim=1, eta=0.0)
