@@ -138,6 +138,15 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     upper endpoint is returned: a certified scale at which the rescaled
     system intersects, with ``witness`` a point of it.  The degeneracy
     warning covers every decision made.
+
+    The bisection is replayed from :func:`exact_cech_scale` mu: a midpoint
+    farther than a tolerance band from mu takes the decision ``mid > mu``
+    unwalked, one inside the band is walked, and then the upper end must
+    walk TRUE (its witness is reported) and the lower end FALSE.  The walked
+    decision is monotone in the scale, so the certified ends vouch for every
+    replayed step and the report is that of the bisection that walks every
+    step, which runs instead when an end fails.  The warning is the same
+    either way: the FALSE walk at nu already visits every subset.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta}")
@@ -145,30 +154,41 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     lo = hi = nu
     iterations, warn, witness = 0, False, M.centers[0].copy()
     if nu > 0.0:
-        # Rescaling keeps the centers, so one engine serves every step.
+        # Rescaling keeps the centers, so one engine serves every walk, and
+        # each scale is walked once: the ends and the fallback reuse walks.
         engine = PoleEngine(M.centers, tol=tol)
+        walked = {}
 
         def decide(lam):
             nonlocal warn
-            _, point, skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
-            warn = warn or skipped
-            return point
+            if lam not in walked:
+                _, walked[lam], skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
+                warn = warn or skipped
+            return walked[lam]
 
         witness = decide(nu)
         if witness is None:
-            hi = jung_factor(M.dimension) * nu
-            while hi - lo > eta:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:  # adjacent floats: eta is below their spacing
-                    break
-                point = decide(mid)
-                iterations += 1
-                if point is None:
-                    lo = mid
-                else:
-                    hi, witness = mid, point
-            if witness is None:
+            top, mu = jung_factor(M.dimension) * nu, exact_cech_scale(M)
+            # Containment reaches tol (1 + lam r_i) past each disk, so a walk
+            # can turn TRUE up to tol (lam + 1 / min r) below mu, and above mu
+            # only by rounding.  On the 119 bisecting systems of
+            # tests/test_engine.py walks turn TRUE at most 0.94 of that reach
+            # below mu and never FALSE above it; the factor 8 is margin.
+            band = 8.0 * tol * (mu + 1.0 / float(M.radii.min()))
+            for replay in (True, False):
+                lo, hi, iterations = nu, top, 0
+                while hi - lo > eta:
+                    mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:  # adjacent floats: eta is below their spacing
+                        break
+                    iterations += 1
+                    if (mid > mu) if replay and abs(mid - mu) > band else decide(mid) is not None:
+                        hi = mid
+                    else:
+                        lo = mid
                 witness = decide(hi)
+                if witness is not None and decide(lo) is None:
+                    break
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
 
 

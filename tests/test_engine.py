@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import cechkit.cech
 import reference_poles as ref
 from cechkit import (
     DEFAULT_TOL,
@@ -16,13 +17,14 @@ from cechkit import (
     cech_scale,
     exact_cech_scale,
     is_cech_system,
+    jung_factor,
     rescale,
     rips_scale,
 )
 from cechkit.cech import candidate_poles
 from cechkit.cli import render_svg
 from cechkit.geometry import CONTAINS_CHUNK, PoleEngine
-from conftest import DEGENERATE, FACTORS, random_system, scalings
+from conftest import DEGENERATE, FACTORS, lattice_systems, random_system, scalings
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
 # matrix products, axis reductions), so they agree to rounding, not bits.
@@ -124,23 +126,138 @@ def test_warning_marks_dependent_subsets_before_the_answer():
                 assert box is None or not box.degeneracy_warning
 
 
+def _assert_same_report(M, eta, got=None):
+    """cech_scale(M, eta), or its report ``got``, equals the reference
+    bisection, which walks every step, in every report field, witness bits
+    included.  Returns the reference report."""
+    got = cech_scale(M, eta) if got is None else got
+    want = ref.cech_scale(M, eta, decide=is_cech_system)
+    assert got.rips_scale == want.rips_scale
+    assert got.cech_scale == want.cech_scale
+    assert got.bracket == want.bracket
+    assert got.iterations == want.iterations
+    assert got.degeneracy_warning == want.degeneracy_warning
+    assert np.array_equal(got.witness, want.witness)
+    return want
+
+
 def test_cech_scale_matches_per_step_decisions_bit_for_bit():
     rng = np.random.default_rng(341)
     systems = [random_system(rng, d, m) for d in (2, 3) for m in range(2, 8)]
     systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
     warned = 0
     for M in systems:
-        got = cech_scale(M, 1e-6)
-        want = ref.cech_scale(M, 1e-6, decide=is_cech_system)
-        assert got.cech_scale == want.cech_scale
-        assert got.bracket == want.bracket
-        assert got.iterations == want.iterations
-        assert got.degeneracy_warning == want.degeneracy_warning
-        assert np.array_equal(got.witness, want.witness)
-        warned += want.degeneracy_warning
+        warned += _assert_same_report(M, 1e-6).degeneracy_warning
     # The FALSE steps of the DEGENERATE systems skip dependent subsets, so
     # the warning is exercised.
     assert warned > 0
+
+
+def _scale_corpus():
+    """Seeded random systems (d 1-4, m 2-9), each also scaled by 10^k for
+    k = -6..6, every DEGENERATE system under its scalings, and the lattice
+    systems."""
+    rng = np.random.default_rng(349)
+    systems = []
+    for _ in range(24):
+        M = random_system(rng, int(rng.integers(1, 5)), int(rng.integers(2, 10)))
+        systems += [DiskSystem.from_arrays(M.centers * 10.0**k, M.radii * 10.0**k) for k in range(-6, 7)]
+    systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
+    return systems + [M for _, M in lattice_systems()]
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-12, 5e-324])
+def test_cech_scale_matches_reference_bisection_on_corpus(eta):
+    # Replayed steps leave every field as the walked ones set it, at scales
+    # 1e-6 to 1e6, on dependent subsets and below the float spacing.
+    bisected = sum(_assert_same_report(M, eta).iterations > 0 for M in _scale_corpus())
+    assert bisected >= 100
+
+
+def _band(M):
+    """The tolerance band around the exact scale mu inside which cech_scale
+    walks its bisection steps: 8 tol (mu + 1 / min r)."""
+    return 8.0 * DEFAULT_TOL * (exact_cech_scale(M) + 1.0 / float(M.radii.min()))
+
+
+def _record_walks(monkeypatch):
+    """A list that receives the radii of every system walked in
+    cechkit.cech, the reference bisection's decisions included."""
+    walks = []
+
+    def recorded(engine, N):
+        walks.append(N.radii)
+        return candidate_poles(engine, N)
+
+    monkeypatch.setattr(cechkit.cech, "candidate_poles", recorded)
+    return walks
+
+
+def _bisecting_systems(rng, count):
+    """``count`` systems per (d, m) shaped like the cech-scale ops of the
+    benchmark: centers in [0, 1]^d, radii 0.9-1.1, drawn until the
+    nu-rescaling has no common point, so every one bisects."""
+    systems = []
+    for d, m in [(3, 6), (2, 8), (2, 10), (3, 8), (2, 12)]:
+        drawn = 0
+        while drawn < count:
+            M = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (m, d)), rng.uniform(0.9, 1.1, m))
+            if not is_cech_system(rescale(M, rips_scale(M))).is_cech:
+                systems.append(M)
+                drawn += 1
+    return systems
+
+
+def test_cech_scale_walks_only_inside_the_band_and_at_its_ends(monkeypatch):
+    # At eta 1e-6 the band is far narrower than the final bracket: the walks
+    # are nu, the two ends and the steps inside the band.  At eta 1e-12 the
+    # last steps fall inside the band and walk, but never more often than
+    # the reference bisection walks (each step, and the top when no step
+    # was TRUE).
+    walks = _record_walks(monkeypatch)
+    for M in _bisecting_systems(np.random.default_rng(353), 3):
+        mu, band = exact_cech_scale(M), _band(M)
+        for eta in (1e-6, 1e-12):
+            walks.clear()
+            report = cech_scale(M, eta)
+            scales = [float(np.max(radii / M.radii)) for radii in walks]
+            want = _assert_same_report(M, eta, report)
+            assert want.iterations > 0
+            if eta == 1e-6:
+                assert len(scales) <= 3 + sum(abs(lam - mu) <= band for lam in scales)
+            else:
+                assert len(scales) <= want.iterations + 2
+
+
+WRONG_SCALES = {
+    "nu": lambda M, mu: rips_scale(M),
+    "jung": lambda M, mu: jung_factor(M.dimension) * rips_scale(M),
+    "below": lambda M, mu: mu - 10.0 * _band(M),
+    "above": lambda M, mu: mu + 10.0 * _band(M),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_SCALES))
+def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong):
+    # Replayed from a wrong scale, an end fails to certify once a step lands
+    # between the wrong scale and the true one, as it always does at eta
+    # 1e-12 on the benchmark-shaped systems; then the bisection that walks
+    # every step runs instead, and the report is still the reference's.
+    exact = cechkit.cech.exact_cech_scale
+    monkeypatch.setattr(cechkit.cech, "exact_cech_scale", lambda M: WRONG_SCALES[wrong](M, exact(M)))
+    walks = _record_walks(monkeypatch)
+    for M in _bisecting_systems(np.random.default_rng(359), 1):
+        for eta in (1e-6, 1e-12):
+            walks.clear()
+            report = cech_scale(M, eta)
+            walked = len(walks)
+            want = _assert_same_report(M, eta, report)
+            if eta == 1e-12:
+                assert walked > want.iterations
+    for name in ("collinear-2d-extra", "duplicate-3d"):
+        for M in scalings(*DEGENERATE[name]):
+            for eta in (1e-6, 1e-12):
+                _assert_same_report(M, eta)
 
 
 def _assert_in_bracket(mu, M, bracket):
