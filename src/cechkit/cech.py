@@ -49,9 +49,19 @@ def pair_ratios(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return center_distances(centers) / (radii[None, :] + radii[:, None])
 
 
+def _widest_pair(centers: np.ndarray, radii: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest pair ratio ||c_i - c_j|| / (r_i + r_j), 0 for one disk,
+    and the index pair i < j attaining it (index 0 alone for one disk)."""
+    # The matrix is symmetric bit for bit with a zero diagonal, so its first
+    # largest entry lies above the diagonal.
+    ratios = pair_ratios(centers, radii)
+    top = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return float(ratios[top]), np.unique(top)
+
+
 def rips_scale(M: DiskSystem) -> float:
     """Vietoris-Rips scale: max over pairs of ||c_i - c_j|| / (r_i + r_j)."""
-    return float(np.max(pair_ratios(M.centers, M.radii)[np.triu_indices(len(M), 1)], initial=0.0))
+    return _widest_pair(M.centers, M.radii)[0]
 
 
 def rescale(M: DiskSystem, lam: float) -> DiskSystem:
@@ -84,10 +94,10 @@ def candidate_poles(engine: PoleEngine, M: DiskSystem):
 
 def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
     """The :func:`candidate_poles` blocks of M on a new engine, or none when
-    M has a disjoint pair (:func:`disjoint_pair`), which retains no
-    candidate: then the decision is FALSE with no degeneracy warning, and
-    there is no box."""
-    if disjoint_pair(M, tol):
+    M has a disjoint pair (:func:`disjoint_pair`) or is certified empty
+    (:func:`certified_empty`): then no candidate would be retained, the
+    decision is FALSE and there is no box."""
+    if disjoint_pair(M, tol) or certified_empty(M, tol):
         return ()
     return candidate_poles(PoleEngine(M.centers, tol=tol), M)
 
@@ -118,11 +128,18 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     intersections of up to min(m, d+1) disks; the first pole contained in
     all m disks is the witness.  Single-point boundary intersections are
     their own witness candidates.  A disjoint pair decides FALSE before any
-    enumeration (:func:`pole_walk`).
+    enumeration, with no warning.  So does a certificate
+    (:func:`certified_empty`), whose warning is the one the full FALSE walk
+    gives: whether some subset of up to d+1 disks has dependent centers.
     """
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
-    subset, witness, warn = _first_witness(pole_walk(M, tol))
+    if disjoint_pair(M, tol):
+        return CechDecision(False)
+    engine = PoleEngine(M.centers, tol=tol)
+    if certified_empty(M, tol):
+        return CechDecision(False, degeneracy_warning=engine.dependent())
+    subset, witness, warn = _first_witness(candidate_poles(engine, M))
     if subset is None:
         return CechDecision(False, degeneracy_warning=warn)
     return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
@@ -139,14 +156,17 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     system intersects, with ``witness`` a point of it.  The degeneracy
     warning covers every decision made.
 
-    The bisection is replayed from :func:`exact_cech_scale` mu: a midpoint
-    farther than a tolerance band from mu takes the decision ``mid > mu``
-    unwalked, one inside the band is walked, and then the upper end must
-    walk TRUE (its witness is reported) and the lower end FALSE.  The walked
-    decision is monotone in the scale, so the certified ends vouch for every
-    replayed step and the report is that of the bisection that walks every
-    step, which runs instead when an end fails.  The warning is the same
-    either way: the FALSE walk at nu already visits every subset.
+    The bisection is replayed from the exact scale mu of :func:`cech_basis`:
+    a midpoint farther than a tolerance band from mu is answered
+    ``mid > mu`` without a decision, one inside the band is decided, and the
+    upper end must decide TRUE (its witness is reported) and the lower end
+    FALSE.  Decisions are monotone in the scale, so the certified ends vouch
+    for every replayed step and the report is that of the bisection that
+    decides every step, which runs instead when an end fails.  A decision is
+    a pole walk, or FALSE with no walk when the basis of mu certifies it
+    (:func:`bound_certifies`), as it does at nu and at the lower end of most
+    systems.  The warning is the same either way: a FALSE decision at nu,
+    walked or certified, covers every subset.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta}")
@@ -155,20 +175,24 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     iterations, warn, witness = 0, False, M.centers[0].copy()
     if nu > 0.0:
         # Rescaling keeps the centers, so one engine serves every walk, and
-        # each scale is walked once: the ends and the fallback reuse walks.
+        # each scale is decided once: the ends and the fallback reuse them.
         engine = PoleEngine(M.centers, tol=tol)
-        walked = {}
+        mu, basis, weights = cech_basis(M)
+        decided = {}
 
         def decide(lam):
             nonlocal warn
-            if lam not in walked:
-                _, walked[lam], skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
+            if lam not in decided:
+                if bound_certifies(M, basis, weights, lam, tol):
+                    decided[lam], skipped = None, engine.dependent()
+                else:
+                    _, decided[lam], skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
                 warn = warn or skipped
-            return walked[lam]
+            return decided[lam]
 
         witness = decide(nu)
         if witness is None:
-            top, mu = jung_factor(M.dimension) * nu, exact_cech_scale(M)
+            top = jung_factor(M.dimension) * nu
             # Containment reaches tol (1 + lam r_i) past each disk, so a walk
             # can turn TRUE up to tol (lam + 1 / min r) below mu, and above mu
             # only by rounding.  On the 119 bisecting systems of
@@ -192,19 +216,91 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
 
 
-def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Closed-form Cech scale of each disk subset of an (N, j) index array.
+# Rounds of basis pivoting in certified_empty.
+CERTIFY_ROUNDS = 8
 
-    With t = lambda^2 the Gram right-hand side of a subset T is affine in t,
-    so the center of its rescaled boundary spheres is p(t) = c + u + t v
-    and their squared radius r^2(t) = -A t^2 + B t - C is a concave
-    quadratic.  Its smaller root t_T is where the spheres first meet, in
-    one point.  When that point lies in the convex hull of T's centers
-    (barycentric coordinates >= 0, the KKT condition of
-    min_x max_i ||x - c_i|| / r_i) sqrt(t_T) is T's Cech scale; the
-    result is NaN otherwise, and for affinely dependent centers, where a
-    proper subset carries the scale.
+
+def bound_certifies(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, lam: float,
+                    tol: float = DEFAULT_TOL) -> bool:
+    """Whether the disks ``basis`` of M, weighted by ``weights`` >= 0, prove
+    that no point passes :func:`contains_all_batch` on ``rescale(M, lam)``,
+    so that a walk of it would retain no candidate.
+
+    With u = 2^-53, a point p that the containment test accepts satisfies,
+    for every disk i (the test rounds lam r_i, the reach, the center
+    difference, d squares, their sum and the square root),
+
+        ||p - c_i|| / r_i <= (lam + tol (lam + 1 / r_i)) (1 + (d + 9) u)
+                          <= rho (1 + (d + 9) u),
+        rho = lam + tol (lam + 1 / min r)   (min over the basis).
+
+    Let b = weights / sum(weights), R = sum b_i r_i^2 and x* = sum b_i c_i,
+    the minimiser of sum b_i ||x - c_i||^2.  Then alpha_i = b_i r_i^2 / R
+    are convex weights, and for any point p
+
+        max_i ||p - c_i||^2 / r_i^2 >= sum alpha_i ||p - c_i||^2 / r_i^2
+                                   >= N / R,  N = sum b_i ||x* - c_i||^2,
+
+    so N > rho^2 (1 + (d + 9) u)^2 R leaves no accepted p.  The test
+    evaluates N and R on the basis divided by the power of two above its
+    extent (exact) and centred on its last member.  The absolute margin
+    (d + 4) 2^-48 D^2 taken off N, with D the largest centred center norm,
+    holds the rounding of the centring (at most 2 u D^2), of x* (second
+    order) and of N itself (at most 4 (2d + 4) u D^2).  The factor
+    1 + 1e-12 + (d + 10) 2^-52 on rho holds 1 + (d + 9) u and the rounding
+    of rho, R and the products; its 1e-12 is the factor of the disjoint-pair
+    exit, so a pair basis certifies no sooner than that exit.
+
+    N / R is at most the squared Cech scale mu^2 of the basis, and equal to
+    it for the basis's own barycentric weights (the KKT multipliers of
+    min_x max_i ||x - c_i|| / r_i, times r_i^2): then the bound certifies
+    whenever mu exceeds rho by the margins.
     """
+    d = M.dimension
+    centers, radii = M.centers[basis], M.radii[basis]
+    unit = 2.0 ** math.frexp(float(np.ptp(centers, axis=0).max() + radii.max()))[1]
+    centers = centers / unit
+    centers = centers - centers[-1]
+    b = weights / weights.sum()
+    mean = b @ centers
+    spread = b @ np.sum((mean - centers) ** 2, axis=1) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1))
+    rho = (lam + tol * (lam + 1.0 / float(radii.min()))) * (1.0 + 1e-12 + (d + 10) * 2.0**-52)
+    return bool(spread > rho * rho * (b @ (radii / unit) ** 2))
+
+
+def certified_empty(M: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
+    """Whether :func:`bound_certifies` proves, at M's own scale, that no
+    point passes containment in every disk of M.
+
+    By Jung's bound the Cech scale is at most sqrt(2d/(d+1)) nu, so when
+    that is at most 1 nothing can be certified and no search runs.
+    Otherwise the search starts from the pair attaining nu; each round takes
+    the :func:`cech_basis` of its at most d+2 disks, tests its bound, and
+    adds to the basis the disk farthest, relative to its radius, from the
+    basis's minimax point.  It stops when a bound certifies, when no disk
+    lies farther than the basis's own scale (then the basis is M's and its
+    bound has failed), or after CERTIFY_ROUNDS rounds.
+    """
+    nu, members = _widest_pair(M.centers, M.radii)
+    if jung_factor(M.dimension) * nu <= 1.0:
+        return False
+    for _ in range(CERTIFY_ROUNDS):
+        scale, basis, weights = cech_basis(M, members)
+        if bound_certifies(M, basis, weights, 1.0, tol):
+            return True
+        point = weights @ M.centers[basis] / weights.sum()
+        ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii
+        far = int(np.argmax(ratios))
+        if not ratios[far] > scale or far in basis:
+            return False
+        members = np.append(basis, far)
+    return False
+
+
+def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`subset_roots` of an (N, j) index array, and the barycentric
+    coordinates of each first-meet point on the first j-1 centers of its
+    row (the last center takes the rest)."""
     # B^2 and 4AC are fourth powers of length, but the roots are scale-free:
     # dividing by the power of two above the extent (never multiplying, so
     # no center overflows) leaves every later rounding unchanged.
@@ -224,17 +320,51 @@ def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np
         t = 2.0 * C / (B + np.sqrt(disc))
         bary = coef[..., 0] + t[:, None] * coef[..., 1]
         valid = full & (disc >= 0.0) & (B > 0.0) & (bary >= 0.0).all(axis=1) & (bary.sum(axis=1) <= 1.0)
-        return np.where(valid, np.sqrt(t), np.nan)
+        return np.where(valid, np.sqrt(t), np.nan), bary
+
+
+def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Closed-form Cech scale of each disk subset of an (N, j) index array.
+
+    With t = lambda^2 the Gram right-hand side of a subset T is affine in t,
+    so the center of its rescaled boundary spheres is p(t) = c + u + t v
+    and their squared radius r^2(t) = -A t^2 + B t - C is a concave
+    quadratic.  Its smaller root t_T is where the spheres first meet, in
+    one point.  When that point lies in the convex hull of T's centers
+    (barycentric coordinates >= 0, the KKT condition of
+    min_x max_i ||x - c_i|| / r_i) sqrt(t_T) is T's Cech scale; the
+    result is NaN otherwise, and for affinely dependent centers, where a
+    proper subset carries the scale.
+    """
+    return _meets(centers, radii, rows)[0]
+
+
+def cech_basis(M: DiskSystem, members: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact Cech scale of the disks ``members`` of M (default all), with a
+    basis that attains it.
+
+    The problem min_x max_i ||x - c_i|| / r_i is LP-type of combinatorial
+    dimension d+1, so the scale is the largest valid :func:`subset_roots`
+    root over the subsets of at most d+1 members; pairs give their Rips
+    ratio, and one disk gives 0.  Returns ``(scale, basis, weights)``: the
+    indices into M of the subset attaining it, and the barycentric
+    coordinates, on its centers, of its minimax point.
+    """
+    members = np.arange(len(M)) if members is None else members
+    scale, pair = _widest_pair(M.centers[members], M.radii[members])
+    basis = members[pair]
+    weights = M.radii[basis[::-1]] / M.radii[basis].sum()  # the pair's touching point
+    for j in range(3, min(len(members), M.dimension + 1) + 1):
+        rows = members[combination_rows(len(members), j)]
+        roots, bary = _meets(M.centers, M.radii, rows)
+        best = int(np.argmax(np.fmax(roots, -np.inf)))
+        if roots[best] > scale:
+            scale, basis = float(roots[best]), rows[best]
+            weights = np.append(bary[best], 1.0 - bary[best].sum())
+    return scale, basis, weights
 
 
 def exact_cech_scale(M: DiskSystem) -> float:
-    """Exact Cech scale of M: min over x of max_i ||x - c_i|| / r_i.
-
-    The problem is LP-type of combinatorial dimension d+1, so the scale is
-    the largest valid :func:`subset_roots` root over the subsets of at most
-    d+1 disks; pairs give their Rips ratio, and one disk gives 0.
-    """
-    scale = rips_scale(M)
-    for j in range(3, min(len(M), M.dimension + 1) + 1):
-        scale = float(np.fmax.reduce(subset_roots(M.centers, M.radii, combination_rows(len(M), j)), initial=scale))
-    return scale
+    """Exact Cech scale of M: min over x of max_i ||x - c_i|| / r_i
+    (:func:`cech_basis`)."""
+    return cech_basis(M)[0]

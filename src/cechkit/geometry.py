@@ -227,7 +227,7 @@ class Pole:
 
 
 def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
-    """Closed membership test with tolerance: ||p - c|| <= r + tol."""
+    """Closed membership test with tolerance: ||p - c|| <= r + tol (1 + r)."""
     p = np.asarray(p, dtype=float)
     if p.shape != disk.center.shape:
         raise DimensionMismatch(
@@ -509,6 +509,11 @@ class PoleEngine:
     def subsets(self, j: int) -> np.ndarray:
         """The (C(m, j), j) index rows of the size-j subsets."""
         return self._size(j).rows if j > 1 else self._singles
+
+    def dependent(self) -> bool:
+        """Whether some subset of 2 to max_size disks has affinely dependent
+        centers: the warning of a walk that finds no candidate."""
+        return any(self._size(j).deficient.any() for j in range(2, self.max_size + 1))
 
     def _size(self, j: int) -> _SizeBatch:
         batch = self._sizes.get(j)

@@ -24,7 +24,7 @@ from cechkit import (
 from cechkit.cech import candidate_poles
 from cechkit.cli import render_svg
 from cechkit.geometry import CONTAINS_CHUNK, PoleEngine
-from conftest import DEGENERATE, FACTORS, lattice_systems, random_system, scalings
+from conftest import DEGENERATE, FACTORS, hollow_simplex_system, lattice_systems, random_system, scalings
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
 # matrix products, axis reductions), so they agree to rounding, not bits.
@@ -174,10 +174,10 @@ def test_cech_scale_matches_reference_bisection_on_corpus(eta):
     assert bisected >= 100
 
 
-def _band(M):
-    """The tolerance band around the exact scale mu inside which cech_scale
-    walks its bisection steps: 8 tol (mu + 1 / min r)."""
-    return 8.0 * DEFAULT_TOL * (exact_cech_scale(M) + 1.0 / float(M.radii.min()))
+def _band(M, mu):
+    """The tolerance band around the exact scale mu of M inside which
+    cech_scale walks its bisection steps: 8 tol (mu + 1 / min r)."""
+    return 8.0 * DEFAULT_TOL * (mu + 1.0 / float(M.radii.min()))
 
 
 def _record_walks(monkeypatch):
@@ -216,7 +216,8 @@ def test_cech_scale_walks_only_inside_the_band_and_at_its_ends(monkeypatch):
     # was TRUE).
     walks = _record_walks(monkeypatch)
     for M in _bisecting_systems(np.random.default_rng(353), 3):
-        mu, band = exact_cech_scale(M), _band(M)
+        mu = exact_cech_scale(M)
+        band = _band(M, mu)
         for eta in (1e-6, 1e-12):
             walks.clear()
             report = cech_scale(M, eta)
@@ -224,7 +225,8 @@ def test_cech_scale_walks_only_inside_the_band_and_at_its_ends(monkeypatch):
             want = _assert_same_report(M, eta, report)
             assert want.iterations > 0
             if eta == 1e-6:
-                assert len(scales) <= 3 + sum(abs(lam - mu) <= band for lam in scales)
+                # nu and the lower end are certified FALSE unwalked.
+                assert len(scales) <= 1 + sum(abs(lam - mu) <= band for lam in scales)
             else:
                 assert len(scales) <= want.iterations + 2
 
@@ -232,32 +234,137 @@ def test_cech_scale_walks_only_inside_the_band_and_at_its_ends(monkeypatch):
 WRONG_SCALES = {
     "nu": lambda M, mu: rips_scale(M),
     "jung": lambda M, mu: jung_factor(M.dimension) * rips_scale(M),
-    "below": lambda M, mu: mu - 10.0 * _band(M),
-    "above": lambda M, mu: mu + 10.0 * _band(M),
+    "below": lambda M, mu: mu - 10.0 * _band(M, mu),
+    "above": lambda M, mu: mu + 10.0 * _band(M, mu),
 }
+
+
+def _record_certified(monkeypatch):
+    """A list that receives the scale of every decision that
+    cechkit.cech.bound_certifies settles FALSE without a walk."""
+    certified = []
+    original = cechkit.cech.bound_certifies
+
+    def recorded(M, basis, weights, lam, tol=DEFAULT_TOL):
+        if original(M, basis, weights, lam, tol):
+            certified.append(lam)
+            return True
+        return False
+
+    monkeypatch.setattr(cechkit.cech, "bound_certifies", recorded)
+    return certified
 
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_SCALES))
 def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong):
     # Replayed from a wrong scale, an end fails to certify once a step lands
     # between the wrong scale and the true one, as it always does at eta
-    # 1e-12 on the benchmark-shaped systems; then the bisection that walks
-    # every step runs instead, and the report is still the reference's.
-    exact = cechkit.cech.exact_cech_scale
-    monkeypatch.setattr(cechkit.cech, "exact_cech_scale", lambda M: WRONG_SCALES[wrong](M, exact(M)))
-    walks = _record_walks(monkeypatch)
+    # 1e-12 on the benchmark-shaped systems; then the bisection that decides
+    # every step runs instead, and the report is still the reference's.  The
+    # basis is the true one, so its certificates stay sound; a decision is a
+    # walk or a certified FALSE.
+    basis = cechkit.cech.cech_basis
+
+    def wrong_basis(M, members=None):
+        mu, *rest = basis(M, members)
+        return (mu if members is not None else WRONG_SCALES[wrong](M, mu), *rest)
+
+    monkeypatch.setattr(cechkit.cech, "cech_basis", wrong_basis)
+    walks, certified = _record_walks(monkeypatch), _record_certified(monkeypatch)
     for M in _bisecting_systems(np.random.default_rng(359), 1):
         for eta in (1e-6, 1e-12):
             walks.clear()
+            certified.clear()
             report = cech_scale(M, eta)
-            walked = len(walks)
+            decided = len(walks) + len(certified)
             want = _assert_same_report(M, eta, report)
             if eta == 1e-12:
-                assert walked > want.iterations
+                assert decided > want.iterations
     for name in ("collinear-2d-extra", "duplicate-3d"):
         for M in scalings(*DEGENERATE[name]):
             for eta in (1e-6, 1e-12):
                 _assert_same_report(M, eta)
+
+
+# Exact Cech scales 1 + eps of the systems that the certificate must judge:
+# inside the containment tolerance (about 2e-9 at unit radii), at its edge
+# and beyond it.
+EPSILONS = (-1e-9, 1e-12, 1e-10, 1e-9, 4e-9, 1e-8, 1e-6, 1e-3)
+
+
+def _near_band_bases():
+    """Seeded random systems (d 2-3, m 3-9) scaled by 10^k, k = -6, -3, 0,
+    3, 6, the DEGENERATE systems under their scalings and the lattice
+    systems."""
+    rng = np.random.default_rng(367)
+    systems = []
+    for _ in range(8):
+        M = random_system(rng, int(rng.integers(2, 4)), int(rng.integers(3, 10)))
+        systems += [DiskSystem.from_arrays(M.centers * 10.0**k, M.radii * 10.0**k) for k in (-6, -3, 0, 3, 6)]
+    systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
+    return systems + [M for _, M in lattice_systems()]
+
+
+def _keeps_nothing(M):
+    """Whether a full walk of M on a fresh engine retains no candidate."""
+    return not any(inside.any() for *_, inside, _ in candidate_poles(PoleEngine(M.centers), M))
+
+
+def _answers(M):
+    return is_cech_system(M), aabb_minimal(M), render_svg(M) if M.dimension == 2 else None
+
+
+def test_certificate_is_sound_near_the_exact_scale(monkeypatch):
+    # Each base system is rescaled to exact Cech scale 1 + eps.  Whenever a
+    # bound certifies (the search of a single decision, or the basis of mu
+    # at the rescaling factor as cech_scale uses it), a full walk retains no
+    # candidate, and the decision, box and picture equal those of the full
+    # walk, warnings included.
+    def full_walk_answers(M):
+        with monkeypatch.context() as patch:
+            patch.setattr(cechkit.cech, "certified_empty", lambda M, tol=DEFAULT_TOL: False)
+            return _answers(M)
+
+    counts = {eps: 0 for eps in EPSILONS}
+    for base in _near_band_bases():
+        mu, basis, weights = cechkit.cech.cech_basis(base)
+        for eps in EPSILONS:
+            lam = mu / (1.0 + eps)
+            M = rescale(base, lam)
+            if cechkit.cech.bound_certifies(base, basis, weights, lam):
+                assert _keeps_nothing(M)
+            if cechkit.cech.certified_empty(M):
+                counts[eps] += 1
+                assert _keeps_nothing(M)
+                (got, box, svg), (want, want_box, want_svg) = _answers(M), full_walk_answers(M)
+                assert not got.is_cech and not want.is_cech
+                assert got.degeneracy_warning == want.degeneracy_warning
+                assert box is None and want_box is None and svg == want_svg
+    # Below the tolerance nothing certifies; well beyond it (unit radii and
+    # larger) everything does.
+    assert counts[-1e-9] == counts[1e-12] == 0
+    assert counts[1e-3] >= 100
+
+
+def test_certificate_fires_on_hollow_systems(monkeypatch):
+    # Every pair meets and the system has no common point: the single
+    # decisions certify FALSE and walk nothing, with the reference answers.
+    walks = _record_walks(monkeypatch)
+    rng = np.random.default_rng(373)
+    systems = [hollow_simplex_system(rng, d) for d in (2, 3) for _ in range(3)]
+    for M in _bisecting_systems(rng, 2):
+        nu, mu = rips_scale(M), exact_cech_scale(M)
+        systems.append(rescale(M, 0.5 * (nu + mu)))
+    for M in systems:
+        assert cechkit.cech.certified_empty(M)
+        walks.clear()
+        decision, box, svg = _answers(M)
+        assert walks == []
+        want = ref.is_cech_system(M)
+        assert not decision.is_cech and not want.is_cech
+        assert decision.degeneracy_warning == want.degeneracy_warning
+        assert box is None and ref.aabb_minimal(M) is None
+        assert svg is None or svg == ref.render_svg(M)
 
 
 def _assert_in_bracket(mu, M, bracket):
