@@ -340,8 +340,9 @@ def test_certificate_is_sound_near_the_exact_scale(monkeypatch):
                 assert not got.is_cech and not want.is_cech
                 assert got.degeneracy_warning == want.degeneracy_warning
                 assert box is None and want_box is None and svg == want_svg
-    # Below the tolerance nothing certifies; well beyond it (unit radii and
-    # larger) everything does.
+    # Below the tolerance nothing certifies; well beyond it nearly everything
+    # does (not the systems at scale 1e-6, whose absolute tolerance
+    # tol / min r exceeds 1e-3).
     assert counts[-1e-9] == counts[1e-12] == 0
     assert counts[1e-3] >= 100
 
