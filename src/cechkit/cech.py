@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEFAULT_TOL, DiskSystem, PoleEngine, center_distances, combination_rows, contains_all_batch,
-                       disjoint_pair, gram_rows)
+from .geometry import (DEFAULT_TOL, DiskSystem, PoleEngine, center_distances, check_tol, combination_rows,
+                       contains_all_batch, disjoint_pair, gram_rows)
 
 
 def jung_factor(d: int) -> float:
@@ -97,6 +98,7 @@ def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
     M has a disjoint pair (:func:`disjoint_pair`) or is certified empty
     (:func:`certified_empty`): then no candidate would be retained, the
     decision is FALSE and there is no box."""
+    check_tol(tol)
     if disjoint_pair(M, tol) or certified_empty(M, tol):
         return ()
     return candidate_poles(PoleEngine(M.centers, tol=tol), M)
@@ -132,16 +134,15 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     (:func:`certified_empty`), whose warning is the one the full FALSE walk
     gives: whether some subset of up to d+1 disks has dependent centers.
     """
+    check_tol(tol)
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
     if disjoint_pair(M, tol):
         return CechDecision(False)
     engine = PoleEngine(M.centers, tol=tol)
-    if certified_empty(M, tol):
-        return CechDecision(False, degeneracy_warning=engine.dependent())
-    subset, witness, warn = _first_witness(candidate_poles(engine, M))
+    subset, witness, warn = _first_witness(() if certified_empty(M, tol) else candidate_poles(engine, M))
     if subset is None:
-        return CechDecision(False, degeneracy_warning=warn)
+        return CechDecision(False, degeneracy_warning=engine.dependent())
     return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
 
 
@@ -157,61 +158,47 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     warning covers every decision made.
 
     The bisection is replayed from the exact scale mu of :func:`cech_basis`:
-    a midpoint farther than a tolerance band from mu is answered
-    ``mid > mu`` without a decision, one inside the band is decided, and the
-    upper end must decide TRUE (its witness is reported) and the lower end
-    FALSE.  Decisions are monotone in the scale, so the certified ends vouch
-    for every replayed step and the report is that of the bisection that
-    decides every step, which runs instead when an end fails.  A decision is
-    a pole walk, or FALSE with no walk when the basis of mu certifies it
-    (:func:`bound_certifies`), as it does at nu and at the lower end of most
-    systems.  The warning is the same either way: a FALSE decision at nu,
-    walked or certified, covers every subset.
+    a midpoint above mu is answered TRUE unwalked, and any other is decided,
+    FALSE unwalked when the basis of mu certifies it (:func:`dual_bound`).
+    The upper end must then walk TRUE; decisions are monotone in the scale,
+    so it vouches for every replayed step and the report is that of the
+    bisection that decides every step, which runs instead when it fails.
+    Once nu is FALSE the warning is whether some subset has dependent
+    centers: a FALSE walk visits them all, any other walk only some.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta}")
+    check_tol(tol)
     nu = rips_scale(M)
     lo = hi = nu
     iterations, warn, witness = 0, False, M.centers[0].copy()
     if nu > 0.0:
-        # Rescaling keeps the centers, so one engine serves every walk, and
-        # each scale is decided once: the ends and the fallback reuse them.
+        # Rescaling keeps the centers, so one engine serves every walk; each
+        # scale is decided once, and the upper end and second pass reuse it.
         engine = PoleEngine(M.centers, tol=tol)
         mu, basis, weights = cech_basis(M)
-        decided = {}
+        certifies = dual_bound(M, basis, weights, tol)
 
+        @functools.cache
         def decide(lam):
-            nonlocal warn
-            if lam not in decided:
-                if bound_certifies(M, basis, weights, lam, tol):
-                    decided[lam], skipped = None, engine.dependent()
-                else:
-                    _, decided[lam], skipped = _first_witness(candidate_poles(engine, rescale(M, lam)))
-                warn = warn or skipped
-            return decided[lam]
+            return _first_witness(() if certifies(lam) else candidate_poles(engine, rescale(M, lam)))
 
-        witness = decide(nu)
+        _, witness, warn = decide(nu)
         if witness is None:
-            top = jung_factor(M.dimension) * nu
-            # Containment reaches tol (1 + lam r_i) past each disk, so a walk
-            # can turn TRUE up to tol (lam + 1 / min r) below mu, and above mu
-            # only by rounding.  On the 119 bisecting systems of
-            # tests/test_engine.py walks turn TRUE at most 0.94 of that reach
-            # below mu and never FALSE above it; the factor 8 is margin.
-            band = 8.0 * tol * (mu + 1.0 / float(M.radii.min()))
+            warn = engine.dependent()
             for replay in (True, False):
-                lo, hi, iterations = nu, top, 0
+                lo, hi, iterations = nu, jung_factor(M.dimension) * nu, 0
                 while hi - lo > eta:
                     mid = 0.5 * (lo + hi)
                     if not lo < mid < hi:  # adjacent floats: eta is below their spacing
                         break
                     iterations += 1
-                    if (mid > mu) if replay and abs(mid - mu) > band else decide(mid) is not None:
+                    if (replay and mid > mu) or decide(mid)[1] is not None:
                         hi = mid
                     else:
                         lo = mid
-                witness = decide(hi)
-                if witness is not None and decide(lo) is None:
+                witness = decide(hi)[1]
+                if witness is not None:
                     break
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
 
@@ -222,11 +209,12 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
 CERTIFY_ROUNDS = 8
 
 
-def bound_certifies(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, lam: float,
-                    tol: float = DEFAULT_TOL) -> bool:
-    """Whether the disks ``basis`` of M, weighted by ``weights`` >= 0, prove
-    that no point passes :func:`contains_all_batch` on ``rescale(M, lam)``,
-    so that a walk of it would retain no candidate.
+def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float = DEFAULT_TOL):
+    """The test ``certifies(lam)``: whether the disks ``basis`` of M,
+    weighted by ``weights`` >= 0, prove that no point passes
+    :func:`contains_all_batch` on ``rescale(M, lam)``, so that a walk of it
+    would retain no candidate.  The terms free of lam are computed here,
+    once per basis.
 
     With u = 2^-53, a point p that the containment test accepts satisfies,
     for every disk i (the test rounds lam r_i, the reach, the center
@@ -265,13 +253,18 @@ def bound_certifies(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, lam: 
     centers = centers - centers[-1]
     b = weights / weights.sum()
     mean = b @ centers
-    spread = b @ np.sum((mean - centers) ** 2, axis=1) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1))
-    rho = (lam + tol * (lam + 1.0 / float(radii.min()))) * (1.0 + 1e-12 + (d + 10) * 2.0**-52)
-    return bool(spread > rho * rho * (b @ (radii / unit) ** 2))
+    spread = float(b @ np.sum((mean - centers) ** 2, axis=1) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1)))
+    power, inverse = float(b @ (radii / unit) ** 2), 1.0 / float(radii.min())
+
+    def certifies(lam: float) -> bool:
+        rho = (lam + tol * (lam + inverse)) * (1.0 + 1e-12 + (d + 10) * 2.0**-52)
+        return spread > rho * rho * power
+
+    return certifies
 
 
 def certified_empty(M: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
-    """Whether :func:`bound_certifies` proves, at M's own scale, that no
+    """Whether :func:`dual_bound` proves, at M's own scale, that no
     point passes containment in every disk of M.
 
     By Jung's bound the Cech scale is at most sqrt(2d/(d+1)) nu, so when
@@ -288,7 +281,7 @@ def certified_empty(M: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
         return False
     for _ in range(CERTIFY_ROUNDS):
         scale, basis, weights = cech_basis(M, members)
-        if bound_certifies(M, basis, weights, 1.0, tol):
+        if dual_bound(M, basis, weights, tol)(1.0):
             return True
         point = weights @ M.centers[basis] / weights.sum()
         ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii

@@ -47,6 +47,12 @@ class DegenerateConfiguration(GeometryError):
         self.rank = rank
 
 
+def check_tol(tol: float) -> None:
+    """Raise GeometryError unless the tolerance is finite and nonnegative."""
+    if not 0.0 <= tol < math.inf:
+        raise GeometryError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def eff_tol(tol: float, scale: float) -> float:
     """Absolute + relative tolerance for a quantity of the given scale."""
     return tol * (1.0 + abs(scale))
@@ -233,8 +239,7 @@ def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
         raise DimensionMismatch(
             f"point dimension {p.size} != disk dimension {disk.dimension}"
         )
-    if tol < 0:
-        raise GeometryError("tol must be nonnegative")
+    check_tol(tol)
     return float(np.linalg.norm(p - disk.center)) <= disk.radius + eff_tol(tol, disk.radius)
 
 
@@ -430,6 +435,7 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     Identical disks deduplicate (first occurrence kept).  The intersection
     set is unchanged.  Returns the reduced system and the kept indices.
     """
+    check_tol(tol)
     c, r = M.centers, M.radii
     dist = center_distances(c)
     scale = tol * (1.0 + np.abs(r[:, None] + r[None, :]))

@@ -8,15 +8,20 @@ import pytest
 
 from cechkit import (
     DEFAULT_TOL,
+    Disk,
     DiskSystem,
+    GeometryError,
     aabb_minimal,
     cech_scale,
+    contains,
     exact_cech_scale,
     is_cech_system,
     jung_factor,
+    preprocess,
     rescale,
     rips_scale,
 )
+from cechkit.cli import render_svg
 from cechkit.oracle import OracleConfig, oracle_minimax
 from conftest import DEGENERATE, lattice_systems, random_system, scalings
 
@@ -194,6 +199,18 @@ def test_scale_rejects_bad_eta(equilateral_system):
     for eta in (0.0, math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="eta must be finite and positive"):
             cech_scale(equilateral_system, eta)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_library_rejects_bad_tol(equilateral_system, tol):
+    # The CLI refuses such a --tol itself; a library call raises before any
+    # arithmetic, also for one disk, which no tolerance could change.
+    for M in (equilateral_system, equilateral_system.subsystem((0,))):
+        for call in (is_cech_system, lambda M, tol: cech_scale(M, 1e-6, tol), aabb_minimal, render_svg, preprocess):
+            with pytest.raises(GeometryError, match="tol must be finite and nonnegative"):
+                call(M, tol)
+    with pytest.raises(GeometryError, match="tol must be finite and nonnegative"):
+        contains(Disk(np.zeros(2), 1.0), [0.0, 0.0], tol)
 
 
 @pytest.mark.parametrize("eta", [1e-300, 5e-324])

@@ -174,12 +174,6 @@ def test_cech_scale_matches_reference_bisection_on_corpus(eta):
     assert bisected >= 100
 
 
-def _band(M, mu):
-    """The tolerance band around the exact scale mu of M inside which
-    cech_scale walks its bisection steps: 8 tol (mu + 1 / min r)."""
-    return 8.0 * DEFAULT_TOL * (mu + 1.0 / float(M.radii.min()))
-
-
 def _record_walks(monkeypatch):
     """A list that receives the radii of every system walked in
     cechkit.cech, the reference bisection's decisions included."""
@@ -208,61 +202,83 @@ def _bisecting_systems(rng, count):
     return systems
 
 
-def test_cech_scale_walks_only_inside_the_band_and_at_its_ends(monkeypatch):
-    # At eta 1e-6 the band is far narrower than the final bracket: the walks
-    # are nu, the two ends and the steps inside the band.  At eta 1e-12 the
-    # last steps fall inside the band and walk, but never more often than
-    # the reference bisection walks (each step, and the top when no step
-    # was TRUE).
-    walks = _record_walks(monkeypatch)
-    for M in _bisecting_systems(np.random.default_rng(353), 3):
-        mu = exact_cech_scale(M)
-        band = _band(M, mu)
-        for eta in (1e-6, 1e-12):
-            walks.clear()
-            report = cech_scale(M, eta)
-            scales = [float(np.max(radii / M.radii)) for radii in walks]
-            want = _assert_same_report(M, eta, report)
-            assert want.iterations > 0
-            if eta == 1e-6:
-                # nu and the lower end are certified FALSE unwalked.
-                assert len(scales) <= 1 + sum(abs(lam - mu) <= band for lam in scales)
-            else:
-                assert len(scales) <= want.iterations + 2
+def _record_scales(monkeypatch):
+    """A list that receives every scale by which cechkit.cech rescales a
+    system, which cech_scale does only to walk it."""
+    scales = []
+    original = cechkit.cech.rescale
 
+    def recorded(M, lam):
+        scales.append(lam)
+        return original(M, lam)
 
-WRONG_SCALES = {
-    "nu": lambda M, mu: rips_scale(M),
-    "jung": lambda M, mu: jung_factor(M.dimension) * rips_scale(M),
-    "below": lambda M, mu: mu - 10.0 * _band(M, mu),
-    "above": lambda M, mu: mu + 10.0 * _band(M, mu),
-}
+    monkeypatch.setattr(cechkit.cech, "rescale", recorded)
+    return scales
 
 
 def _record_certified(monkeypatch):
-    """A list that receives the scale of every decision that
-    cechkit.cech.bound_certifies settles FALSE without a walk."""
+    """A list that receives the scale of every decision that a
+    cechkit.cech.dual_bound test settles FALSE without a walk."""
     certified = []
-    original = cechkit.cech.bound_certifies
+    original = cechkit.cech.dual_bound
 
-    def recorded(M, basis, weights, lam, tol=DEFAULT_TOL):
-        if original(M, basis, weights, lam, tol):
-            certified.append(lam)
-            return True
-        return False
+    def recorded(*args):
+        certifies = original(*args)
 
-    monkeypatch.setattr(cechkit.cech, "bound_certifies", recorded)
+        def recording(lam):
+            if certifies(lam):
+                certified.append(lam)
+                return True
+            return False
+
+        return recording
+
+    monkeypatch.setattr(cechkit.cech, "dual_bound", recorded)
     return certified
+
+
+def test_cech_scale_walks_only_below_mu_and_at_its_upper_end(monkeypatch):
+    # A step above mu is replayed TRUE, and a step below it that the basis of
+    # mu certifies is FALSE unwalked, so the only walks are the upper end and
+    # the uncertified steps at or below mu, within the containment reach of
+    # it, at every scale of the system.  At unit scale and eta 1e-6 that
+    # reach is far below the final bracket: only the upper end walks.
+    walked = _record_scales(monkeypatch)
+    for base in _bisecting_systems(np.random.default_rng(353), 3):
+        for k in (-6, -3, 0, 3, 6):
+            M = DiskSystem.from_arrays(base.centers * 10.0**k, base.radii * 10.0**k)
+            mu, basis, weights = cechkit.cech.cech_basis(M)
+            certifies = cechkit.cech.dual_bound(M, basis, weights)
+            for eta in (1e-6, 1e-12):
+                walked.clear()
+                report = cech_scale(M, eta)
+                assert not any(certifies(lam) for lam in walked)
+                assert all(lam <= mu for lam in walked if lam != report.bracket[1])
+                if k == 0 and eta == 1e-6:
+                    assert report.iterations > 0 and len(walked) == 1
+                _assert_same_report(M, eta, report)
+
+
+# Wrong exact scales to replay from; "below" and "above" lie 80 tol (mu +
+# 1 / min r) from mu, far outside the containment reach of mu.
+WRONG_SCALES = {
+    "nu": lambda M, mu: rips_scale(M),
+    "jung": lambda M, mu: jung_factor(M.dimension) * rips_scale(M),
+    "below": lambda M, mu: mu - 80.0 * DEFAULT_TOL * (mu + 1.0 / float(M.radii.min())),
+    "above": lambda M, mu: mu + 80.0 * DEFAULT_TOL * (mu + 1.0 / float(M.radii.min())),
+}
 
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_SCALES))
 def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong):
-    # Replayed from a wrong scale, an end fails to certify once a step lands
-    # between the wrong scale and the true one, as it always does at eta
+    # Replayed from a scale below the true one, the upper end fails to walk
+    # TRUE once a step lands between the two, as it always does at eta
     # 1e-12 on the benchmark-shaped systems; then the bisection that decides
-    # every step runs instead, and the report is still the reference's.  The
-    # basis is the true one, so its certificates stay sound; a decision is a
-    # walk or a certified FALSE.
+    # every step runs instead, and decides more scales above the wrong one
+    # than the upper end alone.  From a scale above the true one every step
+    # up to it is decided.  Either way the report is the reference's.  The
+    # basis is the true one, so its certificates stay sound; a decision is
+    # a walk or a certified FALSE.
     basis = cechkit.cech.cech_basis
 
     def wrong_basis(M, members=None):
@@ -270,16 +286,17 @@ def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong)
         return (mu if members is not None else WRONG_SCALES[wrong](M, mu), *rest)
 
     monkeypatch.setattr(cechkit.cech, "cech_basis", wrong_basis)
-    walks, certified = _record_walks(monkeypatch), _record_certified(monkeypatch)
+    walked, certified = _record_scales(monkeypatch), _record_certified(monkeypatch)
     for M in _bisecting_systems(np.random.default_rng(359), 1):
+        wrong_mu = WRONG_SCALES[wrong](M, basis(M)[0])
         for eta in (1e-6, 1e-12):
-            walks.clear()
+            walked.clear()
             certified.clear()
             report = cech_scale(M, eta)
-            decided = len(walks) + len(certified)
-            want = _assert_same_report(M, eta, report)
-            if eta == 1e-12:
-                assert decided > want.iterations
+            above = sum(lam > wrong_mu for lam in walked + certified)
+            _assert_same_report(M, eta, report)
+            if eta == 1e-12 and wrong in ("nu", "below"):
+                assert above > 1
     for name in ("collinear-2d-extra", "duplicate-3d"):
         for M in scalings(*DEGENERATE[name]):
             for eta in (1e-6, 1e-12):
@@ -328,10 +345,11 @@ def test_certificate_is_sound_near_the_exact_scale(monkeypatch):
     counts = {eps: 0 for eps in EPSILONS}
     for base in _near_band_bases():
         mu, basis, weights = cechkit.cech.cech_basis(base)
+        certifies = cechkit.cech.dual_bound(base, basis, weights)
         for eps in EPSILONS:
             lam = mu / (1.0 + eps)
             M = rescale(base, lam)
-            if cechkit.cech.bound_certifies(base, basis, weights, lam):
+            if certifies(lam):
                 assert _keeps_nothing(M)
             if cechkit.cech.certified_empty(M):
                 counts[eps] += 1
