@@ -7,20 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cech import pole_walk
-from .geometry import (
-    DEFAULT_TOL,
-    Disk,
-    DiskSystem,
-    DimensionMismatch,
-    GeometryError,
-    PointIntersection,
-    SphereIntersection,
-    boundary_poles,
-    contains,
-    eff_tol,
-    intersect_two_spheres,
-    poles_codim1,
-)
+from .geometry import DEFAULT_TOL, DimensionMismatch, Disk, DiskSystem, GeometryError
 
 
 @dataclass(frozen=True)
@@ -78,40 +65,10 @@ class Box:
 
 
 def aabb_two_disks(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> Box | None:
-    """Minimal AABB of the intersection of two disks, or None when disjoint.
-
-    Per axis: a disk pole c_j -/+ r_j e_i contained in the other disk gives
-    the bound directly; otherwise the bound comes from the e_i-pole of the
-    boundary sphere of the pair.
-    """
-    if d1.dimension != d2.dimension:
-        raise DimensionMismatch("disk dimensions differ")
-    d = d1.dimension
-    dist = float(np.linalg.norm(d2.center - d1.center))
-    if dist > d1.radius + d2.radius + eff_tol(tol, d1.radius + d2.radius + dist):
-        return None
-    border = None  # boundary intersection computed lazily
-
-    def border_bound(q: int, col: int) -> float:
-        nonlocal border
-        if border is None:
-            border = intersect_two_spheres(d1, d2, tol)
-        if isinstance(border, PointIntersection):
-            return float(border.point[q])
-        if isinstance(border, SphereIntersection):
-            return float(poles_codim1(border.sphere, q, tol)[col].point[q])
-        raise GeometryError("intersecting disks with no boundary bound")  # pragma: no cover
-
-    intervals = np.empty((d, 2))
-    for q in range(d):
-        for col, (p1, p2) in enumerate(zip(boundary_poles(d1, q), boundary_poles(d2, q))):
-            if contains(d2, p1.point, tol):
-                intervals[q, col] = p1.point[q]
-            elif contains(d1, p2.point, tol):
-                intervals[q, col] = p2.point[q]
-            else:
-                intervals[q, col] = border_bound(q, col)
-    return Box(intervals)
+    """Minimal AABB of the intersection of two disks, or None when disjoint:
+    :func:`aabb_minimal` of the pair (DimensionMismatch when their
+    dimensions differ)."""
+    return aabb_minimal(DiskSystem((d1, d2)), tol)
 
 
 def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DEFAULT_TOL, DiskSystem, PoleEngine, center_distances, check_tol, combination_rows,
-                       contains_all_batch, disjoint_pair, gram_rows)
+                       contains_all_batch, disjoint_pair, gram_rows, span)
 
 
 def jung_factor(d: int) -> float:
@@ -216,13 +216,18 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     would retain no candidate.  The terms free of lam are computed here,
     once per basis.
 
-    With u = 2^-53, a point p that the containment test accepts satisfies,
-    for every disk i (the test rounds lam r_i, the reach, the center
-    difference, d squares, their sum and the square root),
+    Let u = 2^-53, P the spread of M's centers and r_max M's largest
+    radius.  Rescaling keeps the centers and max_i fl(lam r_i) is
+    fl(lam r_max), so S = fl(P + fl(lam r_max)) and T = fl(tol S) below are
+    bit for bit the span and the tolerance of the containment test.  That
+    test accepts p for disk i when fl(||p - c_i||) <= fl(fl(lam r_i) + T);
+    the left side is at least ||p - c_i|| (1 - u)^((d + 4) / 2) (the
+    differences, their squares, d - 1 additions and the square root) and
+    the right side at most (lam r_i + T) (1 + u)^2.  So every accepted p
+    has, for every disk i of the basis,
 
-        ||p - c_i|| / r_i <= (lam + tol (lam + 1 / r_i)) (1 + (d + 9) u)
-                          <= rho (1 + (d + 9) u),
-        rho = lam + tol (lam + 1 / min r)   (min over the basis).
+        ||p - c_i|| / r_i <= rho g,  rho = lam + T / min r  (min over the basis),
+        g = (1 + u)^2 / (1 - u)^((d + 4) / 2).
 
     Let b = weights / sum(weights), R = sum b_i r_i^2 and x* = sum b_i c_i,
     the minimiser of sum b_i ||x - c_i||^2.  Then alpha_i = b_i r_i^2 / R
@@ -231,15 +236,21 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
         max_i ||p - c_i||^2 / r_i^2 >= sum alpha_i ||p - c_i||^2 / r_i^2
                                    >= N / R,  N = sum b_i ||x* - c_i||^2,
 
-    so N > rho^2 (1 + (d + 9) u)^2 R leaves no accepted p.  The test
-    evaluates N and R on the basis divided by the power of two above its
-    extent (exact) and centred on its last member.  The absolute margin
-    (d + 4) 2^-48 D^2 taken off N, with D the largest centred center norm,
-    holds the rounding of the centring (at most 2 u D^2), of x* (second
-    order) and of N itself (at most 4 (2d + 4) u D^2).  The factor
-    1 + 1e-12 + (d + 10) 2^-52 on rho holds 1 + (d + 9) u and the rounding
-    of rho, R and the products; its 1e-12 is the factor of the disjoint-pair
-    exit, so a pair basis certifies no sooner than that exit.
+    so N > rho^2 g^2 R leaves no accepted p.  The test evaluates N and R on
+    the basis divided by the power of two above its extent (exact) and
+    centred on its last member.  The absolute margin (d + 4) 2^-48 D^2
+    taken off N, with D the largest centred center norm, holds the rounding
+    of the centring (at most 2 u D^2), of x* (second order) and of N itself
+    (at most 4 (2d + 4) u D^2).  The test takes rho times F = 1 + 1e-12 +
+    (d + 13) u.  Computing rho from T rounds three times (the division, the
+    sum and the product with F), its square and the product with R-hat
+    twice, and R-hat is at least R (1 - u)^(d + 2) (squares, products and
+    at most d additions); the test thus implies N > rho^2 R F-hat^2
+    (1 - u)^(d + 10), which is at least rho^2 g^2 R when F-hat >= 1 +
+    (d + 9) u to first order.  F's own rounding costs 2 u, and the last u
+    of its (d + 13) u holds the second-order terms.  Its 1e-12 is the factor
+    of the disjoint-pair exit, so a pair basis certifies no sooner than that
+    exit.
 
     N / R is at most the squared Cech scale mu^2 of the basis, and equal to
     it for the barycentric coordinates of the basis's minimax point (the KKT
@@ -248,16 +259,18 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     """
     d = M.dimension
     centers, radii = M.centers[basis], M.radii[basis]
-    unit = 2.0 ** math.frexp(float(np.ptp(centers, axis=0).max() + radii.max()))[1]
+    unit = 2.0 ** math.frexp(span(centers, radii))[1]
     centers = centers / unit
     centers = centers - centers[-1]
     b = weights / weights.sum()
     mean = b @ centers
     spread = float(b @ np.sum((mean - centers) ** 2, axis=1) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1)))
-    power, inverse = float(b @ (radii / unit) ** 2), 1.0 / float(radii.min())
+    power, r_min = float(b @ (radii / unit) ** 2), float(radii.min())
+    # P: the span of M's centers with no radius; S and T as in the test.
+    extent, r_max, factor = span(M.centers, (0.0,)), float(M.radii.max()), 1.0 + 1e-12 + (d + 13) * 2.0**-53
 
     def certifies(lam: float) -> bool:
-        rho = (lam + tol * (lam + inverse)) * (1.0 + 1e-12 + (d + 10) * 2.0**-52)
+        rho = (lam + tol * (extent + lam * r_max) / r_min) * factor
         return spread > rho * rho * power
 
     return certifies
@@ -299,7 +312,7 @@ def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np
     # B^2 and 4AC are fourth powers of length, but the roots are scale-free:
     # dividing by the power of two above the extent (never multiplying, so
     # no center overflows) leaves every later rounding unchanged.
-    unit = 2.0 ** max(math.frexp(float(np.ptp(centers, axis=0).max() + radii.max()))[1], 0)
+    unit = 2.0 ** max(math.frexp(span(centers, radii))[1], 0)
     centers, radii = centers / unit, radii / unit
     members, normals, gram, full = gram_rows(centers, rows)
     sq = radii[rows] ** 2

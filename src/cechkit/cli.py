@@ -84,6 +84,8 @@ def _parse_json(text: str) -> DiskSystem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     try:
         dim = data["dimension"]
         rows = data["disks"]
@@ -280,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="disk system file (CSV or JSON)")
-    common.add_argument("--tol", type=_finite(False), default=DEFAULT_TOL, help="geometric tolerance (finite, >= 0)")
+    common.add_argument(
+        "--tol", type=_finite(False), default=DEFAULT_TOL,
+        help="geometric tolerance relative to the system's span, its largest coordinate range plus its largest "
+        "radius (finite, >= 0)",
+    )
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument(
         "--input-format", choices=["auto", "csv", "json"], default="auto"

@@ -1,14 +1,15 @@
 """Floating-point geometry of disks, sphere intersections and poles.
 
 All operations are pure functions of immutable values; a single tolerance
-parameter (absolute + relative, see :func:`eff_tol`) is threaded through
-every membership and classification test.
+parameter ``tol`` is threaded through every membership and classification
+test.  It is relative to the :func:`span` of the system under test: a
+length is compared with tol * span and a squared length with tol * span^2,
+so no decision depends on the unit of length.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -53,9 +54,12 @@ def check_tol(tol: float) -> None:
         raise GeometryError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def eff_tol(tol: float, scale: float) -> float:
-    """Absolute + relative tolerance for a quantity of the given scale."""
-    return tol * (1.0 + abs(scale))
+def span(centers, radii) -> float:
+    """The length unit of every tolerance: the largest per-axis spread of the
+    (m, d) ``centers`` plus the largest of the (m,) ``radii``."""
+    # np.ptp and np.max, without their wrappers' cost on small arrays.
+    maximum = np.maximum.reduce
+    return float(maximum(maximum(centers) - np.minimum.reduce(centers)) + maximum(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +119,17 @@ class DiskSystem:
         centers, radii = np.array(centers, dtype=float), np.array(radii, dtype=float)
         if centers.ndim != 2 or centers.size < 1 or radii.shape != centers.shape[:1]:
             raise GeometryError(f"need (m, d) centers and (m,) radii, m, d >= 1; got {centers.shape}, {radii.shape}")
-        # NaN propagates through both reductions, so the four bounds settle
-        # finiteness, and they give the extent without another pass.
-        hi, lo = np.maximum.reduce(centers).tolist(), np.minimum.reduce(centers).tolist()
-        r_lo, r_hi = float(np.minimum.reduce(radii)), float(np.maximum.reduce(radii))
-        if not (all(map(math.isfinite, hi + lo)) and r_lo > 0.0 and math.isfinite(r_hi)):
+        # A NaN or an infinity makes the span NaN or infinite, so a finite
+        # span settles finiteness; an infinite one may be a finite overflow.
+        with np.errstate(invalid="ignore", over="ignore"):
+            extent, d = span(centers, radii), centers.shape[1]
+        finite = math.isfinite(extent) or (np.isfinite(centers).all() and np.isfinite(radii).all())
+        if not (finite and np.minimum.reduce(radii) > 0.0):
             raise GeometryError("disk centers must be finite and radii finite and positive")
         # A squared distance from a point of any disk to any center is at
         # most d (ptp + r)^2: it must be a float.
-        span = max(map(operator.sub, hi, lo)) + r_hi
-        if not math.isfinite(len(hi) * span * span):
-            raise GeometryError(f"disk system too large: d (ptp + r)^2 = {len(hi)} ({span:.3g})^2 overflows a float")
+        if not math.isfinite(d * extent * extent):
+            raise GeometryError(f"disk system too large: d (ptp + r)^2 = {d} ({extent:.3g})^2 overflows a float")
         centers.flags.writeable = radii.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
@@ -233,19 +237,21 @@ class Pole:
 
 
 def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
-    """Closed membership test with tolerance: ||p - c|| <= r + tol (1 + r)."""
+    """Closed membership test with tolerance: ||p - c|| <= r + tol r, the
+    test of :func:`contains_all_batch` on the one disk, whose span is r."""
     p = np.asarray(p, dtype=float)
     if p.shape != disk.center.shape:
         raise DimensionMismatch(
             f"point dimension {p.size} != disk dimension {disk.dimension}"
         )
     check_tol(tol)
-    return float(np.linalg.norm(p - disk.center)) <= disk.radius + eff_tol(tol, disk.radius)
+    return float(np.linalg.norm(p - disk.center)) <= disk.radius + tol * disk.radius
 
 
-def _reach(radii: np.ndarray, tol: float) -> np.ndarray:
-    """Largest center distance :func:`contains_all_batch` accepts, per disk."""
-    return radii + tol * (1.0 + radii)
+def _reach(system: DiskSystem, tol: float) -> np.ndarray:
+    """Largest center distance :func:`contains_all_batch` accepts, per disk:
+    r + tol * span."""
+    return system.radii + tol * span(system.centers, system.radii)
 
 
 def center_distances(centers: np.ndarray) -> np.ndarray:
@@ -264,7 +270,7 @@ def disjoint_pair(system: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
     """Whether no point can pass :func:`contains_all_batch` for some pair of
     disks: their center distance exceeds the sum of the two reaches by a
     factor 1 + 1e-12, enough for the rounding of every distance involved."""
-    reach = _reach(system.radii, tol)
+    reach = _reach(system, tol)
     return bool((center_distances(system.centers) > (reach[:, None] + reach) * (1.0 + 1e-12)).any())
 
 
@@ -274,7 +280,7 @@ def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFA
     Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
     difference array stays bounded however many candidates there are.
     """
-    bound = _reach(system.radii, tol)
+    bound = _reach(system, tol)
     inside = np.empty(len(points), dtype=bool)
     for start in range(0, len(points), CONTAINS_CHUNK):
         diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers
@@ -330,7 +336,7 @@ def intersect_two_spheres(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> Inter
         raise DimensionMismatch("disk dimensions differ")
     diff = c2 - c1
     dist = float(np.linalg.norm(diff))
-    scale = eff_tol(tol, r1 + r2 + dist)
+    scale = tol * span((c1, c2), (r1, r2))
     if dist <= scale:
         if abs(r1 - r2) <= scale:
             raise FullSphereError("identical disks: boundary intersection is the full sphere")
@@ -366,8 +372,7 @@ def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> Intersectio
     center = lam @ N + base
     r2_all = M.radii**2 - np.sum((center - M.centers) ** 2, axis=1)
     r2 = float(np.mean(r2_all))
-    scale = 1.0 + float(np.max(M.radii))
-    tol_sq = tol * scale * scale
+    tol_sq = tol * span(M.centers, M.radii) ** 2
     if r2 < -tol_sq:
         return EmptyIntersection()
     if r2 <= tol_sq or m - 1 == d:
@@ -403,7 +408,7 @@ def poles_general(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Po
     u[q] += 1.0
     c, r = sphere.center, sphere.radius
     norm = float(np.linalg.norm(u))
-    if norm <= eff_tol(tol, 1.0):
+    if norm <= 2.0 * tol:  # the norm of a projected unit vector: no length unit
         tangent = sphere.tangent_basis()
         point = c + r * tangent[0] if r != 0.0 and len(tangent) else c
         return Pole(point, q, SOUTH, degenerate_axis=True), Pole(point, q, NORTH, degenerate_axis=True)
@@ -438,7 +443,7 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     check_tol(tol)
     c, r = M.centers, M.radii
     dist = center_distances(c)
-    scale = tol * (1.0 + np.abs(r[:, None] + r[None, :]))
+    scale = tol * span(c, r)
     identical = (dist <= scale) & (np.abs(r[:, None] - r[None, :]) <= scale)
     # Entry (i, j) drops D_j: a later duplicate of D_i, or a disk containing
     # D_i (redundant for the intersection).
@@ -536,7 +541,7 @@ class PoleEngine:
             # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
             proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
             norms = np.linalg.norm(proj, axis=1)
-            flat = norms <= eff_tol(self.tol, 1.0)
+            flat = norms <= 2.0 * self.tol  # as in poles_general
             unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
             offsets = np.stack([-unit, unit], axis=2)
             # A degenerate axis (e_q in the span of the normals): pi_q is
@@ -582,10 +587,10 @@ class PoleEngine:
         diff = center[:, None, :] - members
         diff *= diff
         r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
-        scale = 1.0 + np.max(rad, axis=1)
-        tol_sq = tol * scale * scale
-        # The rules of reduce_sphere_system: a point within tol_sq of zero
-        # radius, a sphere above it while j <= d, else empty.
+        tol_sq = tol * span(self.centers, radii) ** 2
+        # The rules of reduce_sphere_system, with the span of the walked
+        # system: a point within tol_sq of zero radius, a sphere above it
+        # while j <= d, else empty.
         sphere = (full & (r2 > tol_sq)) if batch.offsets is not None else np.zeros_like(full)
         index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)

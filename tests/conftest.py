@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cechkit import DiskSystem, cech_scale, rescale, rips_scale
+from cechkit import DEFAULT_TOL, DiskSystem, cech_scale, rescale, rips_scale
+from cechkit.geometry import span
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,6 +58,23 @@ def scalings(centers, radii):
     M = DiskSystem.from_arrays(centers, radii)
     nu = rips_scale(M)
     return [M, *(rescale(M, factor * nu) for factor in FACTORS)]
+
+
+def scale_reach(M, lam, tol=DEFAULT_TOL):
+    """How far above lam the ratio ||p - c_i|| / r_i of a point that
+    containment accepts on rescale(M, lam) can reach: tol times that
+    system's span, over the smallest radius (cechkit.cech.dual_bound)."""
+    return tol * span(M.centers, lam * M.radii) / float(M.radii.min())
+
+
+def assert_in_bracket(mu, M, bracket, tol=DEFAULT_TOL):
+    """Assert that mu, the exact Cech scale of M, lies in a bisection
+    bracket of M widened by the containment reach: a bracket end decided
+    TRUE can lie up to scale_reach below mu.  The factor 1 + (d + 10) 2^-52
+    holds the rounding of the containment test and of mu."""
+    lo, hi = bracket
+    factor = 1.0 + (M.dimension + 10) * 2.0**-52
+    assert (lo - scale_reach(M, hi, tol)) / factor <= mu <= (hi + scale_reach(M, hi, tol)) * factor, (lo, mu, hi)
 
 
 @pytest.fixture

@@ -340,10 +340,12 @@ def test_disjoint_pair_exit_at_its_threshold(monkeypatch):
     from cechkit.geometry import DEFAULT_TOL
 
     calls = _counting_candidate_poles(monkeypatch)
-    # Two unit disks: their tangent point passes containment up to a center
-    # distance of about b_1 + b_2, just below the exit's threshold.
-    reach = 2.0 * (1.0 + DEFAULT_TOL * 2.0)
-    threshold = reach * (1.0 + 1e-12)
+    # Two unit disks at distance dist along (0.6, 0.8): their span is
+    # 1 + 0.8 dist, so each reaches b = 1 + tol (1 + 0.8 dist), and their
+    # tangent point passes containment up to a distance of about 2 b, just
+    # below the exit's threshold 2 b (1 + 1e-12), solved here for dist.
+    grow = 1.0 + 1e-12
+    threshold = 2.0 * (1.0 + DEFAULT_TOL) * grow / (1.0 - 1.6 * DEFAULT_TOL * grow)
     boxes = {}
     for offset in (-2e-12, -1e-13, 1e-13, 1e-12):
         dist = threshold * (1.0 + offset)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cechkit import (
-    DEFAULT_TOL,
     Disk,
     DiskSystem,
     GeometryError,
@@ -23,7 +22,7 @@ from cechkit import (
 )
 from cechkit.cli import render_svg
 from cechkit.oracle import OracleConfig, oracle_minimax
-from conftest import DEGENERATE, lattice_systems, random_system, scalings
+from conftest import DEGENERATE, assert_in_bracket, lattice_systems, random_system, scalings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,8 +221,7 @@ def test_scale_stops_below_float_spacing(eta):
     lo, hi = report.bracket
     assert hi == lo or hi == np.nextafter(lo, np.inf)
     assert report.cech_scale == hi and report.iterations > 0
-    delta = DEFAULT_TOL * (hi + 1.0 / M.radii.min())  # the bound of test_engine._assert_in_bracket
-    assert lo - delta <= exact_cech_scale(M) <= hi + delta
+    assert_in_bracket(exact_cech_scale(M), M, report.bracket)
 
 
 def test_scale_shrinking_intersection_width(equilateral_system):

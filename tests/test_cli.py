@@ -1,10 +1,14 @@
 """CLI: parsing, serialization, subcommands, exit codes, JSON schema."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechkit.cli import (
     EXIT_DEGENERATE,
@@ -112,6 +116,9 @@ def test_parse_json_errors():
                      id="dimension-float"),
         pytest.param('{"dimension": "2", "disks": [[0, 0, 1], [1, 0, 1]]}', "'dimension' must be an integer",
                      id="dimension-string"),
+        # 5,000 nested lists in 10 KB: json.loads gives up with RecursionError.
+        pytest.param('{"dimension": 2, "disks": %s%s}' % ("[" * 5000, "]" * 5000), "nested too deeply",
+                     id="nested-5000"),
     ],
 )
 def test_parse_json_malformed_rows_are_usage_errors(tmp_path, capsys, text, match):
@@ -121,6 +128,48 @@ def test_parse_json_malformed_rows_are_usage_errors(tmp_path, capsys, text, matc
     path.write_text(text)
     assert main(["check", str(path)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Parser fuzz: arbitrary text, CSV-shaped text and JSON documents, some of
+# them valid disk systems, through every subcommand.
+COMMANDS = ["check", "rips-scale", "cech-scale", "aabb", "filtration", "plot"]
+numbers = st.floats(0.1, 2.0) | st.floats(-2.0, 2.0) | st.integers(-(10**400), 10**400) | st.floats()
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+json_systems = st.fixed_dictionaries(
+    {"dimension": st.integers(-1, 4) | json_values, "disks": st.lists(st.lists(numbers, max_size=5), max_size=5)}
+)
+# Rows of d + 1 numbers, as JSON or CSV: often a valid system.
+rows = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.lists(numbers, min_size=d + 1, max_size=d + 1), min_size=1, max_size=5))
+)
+csv_texts = rows.map(lambda system: "".join(",".join(map(str, row)) + "\n" for row in system[1])) | st.lists(
+    st.lists(numbers | st.text(max_size=3), min_size=1, max_size=5), max_size=5
+).map(lambda rows: "".join(",".join(map(str, row)) + "\n" for row in rows))
+json_texts = (json_values | json_systems | rows.map(lambda system: {"dimension": system[0], "disks": system[1]})).map(
+    json.dumps
+)
+
+
+inputs = (
+    st.tuples(st.sampled_from(["csv", "json"]), st.text(max_size=40))
+    | csv_texts.map(lambda text: ("csv", text))
+    | json_texts.map(lambda text: ("json", text))
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(COMMANDS), inputs)
+def test_fuzzed_input_exits_without_a_traceback(tmp_path_factory, command, source):
+    fmt, text = source
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--input-format", fmt, str(path)])
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_DEGENERATE)
 
 
 # ---------------------------------------------------------------------------

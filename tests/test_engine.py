@@ -24,7 +24,8 @@ from cechkit import (
 from cechkit.cech import candidate_poles
 from cechkit.cli import render_svg
 from cechkit.geometry import CONTAINS_CHUNK, PoleEngine
-from conftest import DEGENERATE, FACTORS, hollow_simplex_system, lattice_systems, random_system, scalings
+from conftest import (DEGENERATE, FACTORS, assert_in_bracket, hollow_simplex_system, lattice_systems, random_system,
+                      scale_reach, scalings)
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
 # matrix products, axis reductions), so they agree to rounding, not bits.
@@ -241,8 +242,9 @@ def test_cech_scale_walks_only_below_mu_and_at_its_upper_end(monkeypatch):
     # A step above mu is replayed TRUE, and a step below it that the basis of
     # mu certifies is FALSE unwalked, so the only walks are the upper end and
     # the uncertified steps at or below mu, within the containment reach of
-    # it, at every scale of the system.  At unit scale and eta 1e-6 that
-    # reach is far below the final bracket: only the upper end walks.
+    # it.  That reach is relative to the system's span, so at every scale of
+    # the system and eta 1e-6 it is far below the final bracket: only the
+    # upper end walks.
     walked = _record_scales(monkeypatch)
     for base in _bisecting_systems(np.random.default_rng(353), 3):
         for k in (-6, -3, 0, 3, 6):
@@ -254,18 +256,18 @@ def test_cech_scale_walks_only_below_mu_and_at_its_upper_end(monkeypatch):
                 report = cech_scale(M, eta)
                 assert not any(certifies(lam) for lam in walked)
                 assert all(lam <= mu for lam in walked if lam != report.bracket[1])
-                if k == 0 and eta == 1e-6:
+                if eta == 1e-6:
                     assert report.iterations > 0 and len(walked) == 1
                 _assert_same_report(M, eta, report)
 
 
-# Wrong exact scales to replay from; "below" and "above" lie 80 tol (mu +
-# 1 / min r) from mu, far outside the containment reach of mu.
+# Wrong exact scales to replay from; "below" and "above" lie 80 containment
+# reaches of mu (conftest.scale_reach) from mu, far outside that reach.
 WRONG_SCALES = {
     "nu": lambda M, mu: rips_scale(M),
     "jung": lambda M, mu: jung_factor(M.dimension) * rips_scale(M),
-    "below": lambda M, mu: mu - 80.0 * DEFAULT_TOL * (mu + 1.0 / float(M.radii.min())),
-    "above": lambda M, mu: mu + 80.0 * DEFAULT_TOL * (mu + 1.0 / float(M.radii.min())),
+    "below": lambda M, mu: mu - 80.0 * scale_reach(M, mu),
+    "above": lambda M, mu: mu + 80.0 * scale_reach(M, mu),
 }
 
 
@@ -304,22 +306,23 @@ def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong)
 
 
 # Exact Cech scales 1 + eps of the systems that the certificate must judge:
-# inside the containment tolerance (about 2e-9 at unit radii), at its edge
-# and beyond it.
-EPSILONS = (-1e-9, 1e-12, 1e-10, 1e-9, 4e-9, 1e-8, 1e-6, 1e-3)
+# inside the containment reach tol span / min r (2.4e-9 to 1.1e-8 on these
+# systems, at every scale), at its edge and beyond it.
+EPSILONS = (-1e-9, 1e-12, 1e-10, 1e-9, 2e-9, 3e-9, 4e-9, 1e-8, 1e-6, 1e-3)
 
 
 def _near_band_bases():
-    """Seeded random systems (d 2-3, m 3-9) scaled by 10^k, k = -6, -3, 0,
-    3, 6, the DEGENERATE systems under their scalings and the lattice
-    systems."""
+    """``(group, system)``: seeded random systems (d 2-3, m 3-9) scaled by
+    10^k, k = -6, -3, 0, 3, 6, the five scalings of one system sharing a
+    group, then the DEGENERATE systems under their scalings and the lattice
+    systems, each in a group of its own."""
     rng = np.random.default_rng(367)
     systems = []
-    for _ in range(8):
+    for group in range(8):
         M = random_system(rng, int(rng.integers(2, 4)), int(rng.integers(3, 10)))
-        systems += [DiskSystem.from_arrays(M.centers * 10.0**k, M.radii * 10.0**k) for k in (-6, -3, 0, 3, 6)]
-    systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
-    return systems + [M for _, M in lattice_systems()]
+        systems += [(group, DiskSystem.from_arrays(M.centers * 10.0**k, M.radii * 10.0**k)) for k in (-6, -3, 0, 3, 6)]
+    others = [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
+    return systems + list(enumerate(others + [M for _, M in lattice_systems()], start=8))
 
 
 def _keeps_nothing(M):
@@ -343,24 +346,30 @@ def test_certificate_is_sound_near_the_exact_scale(monkeypatch):
             return _answers(M)
 
     counts = {eps: 0 for eps in EPSILONS}
-    for base in _near_band_bases():
+    per_group = {}
+    for group, base in _near_band_bases():
         mu, basis, weights = cechkit.cech.cech_basis(base)
         certifies = cechkit.cech.dual_bound(base, basis, weights)
+        certified = 0
         for eps in EPSILONS:
             lam = mu / (1.0 + eps)
             M = rescale(base, lam)
             if certifies(lam):
+                certified += 1
                 assert _keeps_nothing(M)
             if cechkit.cech.certified_empty(M):
+                certified += 1
                 counts[eps] += 1
                 assert _keeps_nothing(M)
                 (got, box, svg), (want, want_box, want_svg) = _answers(M), full_walk_answers(M)
                 assert not got.is_cech and not want.is_cech
                 assert got.degeneracy_warning == want.degeneracy_warning
                 assert box is None and want_box is None and svg == want_svg
-    # Below the tolerance nothing certifies; well beyond it nearly everything
-    # does (not the systems at scale 1e-6, whose absolute tolerance
-    # tol / min r exceeds 1e-3).
+        per_group.setdefault(group, set()).add(certified)
+    # The tolerance is relative to the span, so each system certifies as
+    # often under all five of its scalings.  Below the tolerance nothing
+    # certifies; well beyond it nearly everything does.
+    assert all(len(certified) == 1 for certified in per_group.values())
     assert counts[-1e-9] == counts[1e-12] == 0
     assert counts[1e-3] >= 100
 
@@ -386,26 +395,17 @@ def test_certificate_fires_on_hollow_systems(monkeypatch):
         assert svg is None or svg == ref.render_svg(M)
 
 
-def _assert_in_bracket(mu, M, bracket):
-    # Containment accepts ||x - c_i|| <= lam r_i + tol (1 + lam r_i), so a
-    # bracket end certified by it can miss mu by up to
-    # delta = tol * (hi + 1 / min r); derivation in CHANGES.md.
-    lo, hi = bracket
-    delta = DEFAULT_TOL * (hi + 1.0 / M.radii.min())
-    assert lo - delta <= mu <= hi + delta, (lo, mu, hi)
-
-
 def test_exact_scale_within_bisection_bracket_on_random_systems():
     rng = np.random.default_rng(601)
     for _ in range(60):
         M = random_system(rng, int(rng.integers(2, 4)), int(rng.integers(2, 9)))
-        _assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
+        assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_exact_scale_within_bisection_bracket_on_degenerate_systems(name):
     for M in scalings(*DEGENERATE[name]):
-        _assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
+        assert_in_bracket(exact_cech_scale(M), M, cech_scale(M, 1e-9).bracket)
 
 
 def test_filtration_within_reference_brackets():
@@ -426,4 +426,4 @@ def test_filtration_within_reference_brackets():
         for subset, scale in scales.items():
             if len(subset) >= 3:
                 sub = M.subsystem(subset)
-                _assert_in_bracket(scale, sub, ref.cech_scale(sub, 1e-6).bracket)
+                assert_in_bracket(scale, sub, ref.cech_scale(sub, 1e-6).bracket)
