@@ -216,18 +216,16 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     would retain no candidate.  The terms free of lam are computed here,
     once per basis.
 
-    Let u = 2^-53, P the spread of M's centers and r_max M's largest
-    radius.  Rescaling keeps the centers and max_i fl(lam r_i) is
-    fl(lam r_max), so S = fl(P + fl(lam r_max)) and T = fl(tol S) below are
-    bit for bit the span and the tolerance of the containment test.  That
-    test accepts p for disk i when fl(||p - c_i||) <= fl(fl(lam r_i) + T);
-    the left side is at least ||p - c_i|| (1 - u)^((d + 4) / 2) (the
-    differences, their squares, d - 1 additions and the square root) and
-    the right side at most (lam r_i + T) (1 + u)^2.  So every accepted p
-    has, for every disk i of the basis,
+    Let u = 2^-53.  Rescaling keeps the centers and makes the radii
+    x_i = fl(lam r_i) <= lam r_i (1 + u), and the containment test accepts
+    p for disk i when fl(||p - c_i||) <= fl(x_i + fl(tol x_i)).  The right
+    side is at most lam r_i (1 + tol) (1 + u)^3, and the left side at least
+    ||p - c_i|| (1 - u)^((d + 4) / 2) (the differences, their squares,
+    d - 1 additions and the square root).  So every accepted p has, for
+    every disk i,
 
-        ||p - c_i|| / r_i <= rho g,  rho = lam + T / min r  (min over the basis),
-        g = (1 + u)^2 / (1 - u)^((d + 4) / 2).
+        ||p - c_i|| / r_i <= rho g,  rho = lam (1 + tol),
+        g = (1 + u)^3 / (1 - u)^((d + 4) / 2).
 
     Let b = weights / sum(weights), R = sum b_i r_i^2 and x* = sum b_i c_i,
     the minimiser of sum b_i ||x - c_i||^2.  Then alpha_i = b_i r_i^2 / R
@@ -242,15 +240,14 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     taken off N, with D the largest centred center norm, holds the rounding
     of the centring (at most 2 u D^2), of x* (second order) and of N itself
     (at most 4 (2d + 4) u D^2).  The test takes rho times F = 1 + 1e-12 +
-    (d + 13) u.  Computing rho from T rounds three times (the division, the
-    sum and the product with F), its square and the product with R-hat
-    twice, and R-hat is at least R (1 - u)^(d + 2) (squares, products and
-    at most d additions); the test thus implies N > rho^2 R F-hat^2
-    (1 - u)^(d + 10), which is at least rho^2 g^2 R when F-hat >= 1 +
-    (d + 9) u to first order.  F's own rounding costs 2 u, and the last u
-    of its (d + 13) u holds the second-order terms.  Its 1e-12 is the factor
-    of the disjoint-pair exit, so a pair basis certifies no sooner than that
-    exit.
+    (d + 14) u.  Computing rho rounds three times (tol lam, the sum and
+    the product with F), its square and the product with R-hat twice, and
+    R-hat is at least R (1 - u)^(d + 2) (squares, products and at most d
+    additions); the test thus implies N > rho^2 R F-hat^2 (1 - u)^(d + 10),
+    which is at least rho^2 g^2 R when F-hat >= 1 + (d + 10) u to first
+    order.  F's own rounding costs 2 u, and the last 2 u of its (d + 14) u
+    hold the second-order terms.  Its 1e-12 is the factor of the
+    disjoint-pair exit, so a pair basis certifies no sooner than that exit.
 
     N / R is at most the squared Cech scale mu^2 of the basis, and equal to
     it for the barycentric coordinates of the basis's minimax point (the KKT
@@ -265,12 +262,10 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     b = weights / weights.sum()
     mean = b @ centers
     spread = float(b @ np.sum((mean - centers) ** 2, axis=1) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1)))
-    power, r_min = float(b @ (radii / unit) ** 2), float(radii.min())
-    # P: the span of M's centers with no radius; S and T as in the test.
-    extent, r_max, factor = span(M.centers, (0.0,)), float(M.radii.max()), 1.0 + 1e-12 + (d + 13) * 2.0**-53
+    power, factor = float(b @ (radii / unit) ** 2), 1.0 + 1e-12 + (d + 14) * 2.0**-53
 
     def certifies(lam: float) -> bool:
-        rho = (lam + tol * (extent + lam * r_max) / r_min) * factor
+        rho = (lam + tol * lam) * factor
         return spread > rho * rho * power
 
     return certifies

@@ -284,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("input", help="disk system file (CSV or JSON)")
     common.add_argument(
         "--tol", type=_finite(False), default=DEFAULT_TOL,
-        help="geometric tolerance relative to the system's span, its largest coordinate range plus its largest "
-        "radius (finite, >= 0)",
+        help="relative geometric tolerance: a point may lie tol * r outside a disk of radius r (finite, >= 0)",
     )
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument(

@@ -2,14 +2,17 @@
 
 All operations are pure functions of immutable values; a single tolerance
 parameter ``tol`` is threaded through every membership and classification
-test.  It is relative to the :func:`span` of the system under test: a
-length is compared with tol * span and a squared length with tol * span^2,
-so no decision depends on the unit of length.
+test.  It is relative to the :func:`span` of the disks a test involves: a
+point is in a disk of radius r within tol * r, and a sphere intersection of
+a subset is a point when its squared radius is within tol * span^2 of zero.
+So no decision depends on the unit of length, and none on a disk the test
+does not involve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -54,12 +57,13 @@ def check_tol(tol: float) -> None:
         raise GeometryError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def span(centers, radii) -> float:
+def span(centers, radii):
     """The length unit of every tolerance: the largest per-axis spread of the
-    (m, d) ``centers`` plus the largest of the (m,) ``radii``."""
+    (m, d) ``centers`` plus the largest of the (m,) ``radii``.  Stacks of
+    systems, (..., m, d) and (..., m), give one span each."""
     # np.ptp and np.max, without their wrappers' cost on small arrays.
     maximum = np.maximum.reduce
-    return float(maximum(maximum(centers) - np.minimum.reduce(centers)) + maximum(radii))
+    return maximum(maximum(centers, axis=-2) - np.minimum.reduce(centers, axis=-2), axis=-1) + maximum(radii, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +126,18 @@ class DiskSystem:
         # A NaN or an infinity makes the span NaN or infinite, so a finite
         # span settles finiteness; an infinite one may be a finite overflow.
         with np.errstate(invalid="ignore", over="ignore"):
-            extent, d = span(centers, radii), centers.shape[1]
+            extent, d = float(span(centers, radii)), centers.shape[1]
         finite = math.isfinite(extent) or (np.isfinite(centers).all() and np.isfinite(radii).all())
         if not (finite and np.minimum.reduce(radii) > 0.0):
             raise GeometryError("disk centers must be finite and radii finite and positive")
         # A squared distance from a point of any disk to any center is at
-        # most d (ptp + r)^2: it must be a float.
+        # most d (ptp + r)^2: it must be a float.  Squared lengths below the
+        # smallest normal float lose their precision, and a Gram matrix of
+        # them its inverse, so (ptp + r)^2 must be at least that.
         if not math.isfinite(d * extent * extent):
             raise GeometryError(f"disk system too large: d (ptp + r)^2 = {d} ({extent:.3g})^2 overflows a float")
+        if extent * extent < sys.float_info.min:
+            raise GeometryError(f"disk system too small: (ptp + r)^2 = ({extent:.3g})^2 underflows a float")
         centers.flags.writeable = radii.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
@@ -238,20 +246,21 @@ class Pole:
 
 def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
     """Closed membership test with tolerance: ||p - c|| <= r + tol r, the
-    test of :func:`contains_all_batch` on the one disk, whose span is r."""
+    test of :func:`contains_all_batch` on the one disk."""
     p = np.asarray(p, dtype=float)
     if p.shape != disk.center.shape:
         raise DimensionMismatch(
             f"point dimension {p.size} != disk dimension {disk.dimension}"
         )
     check_tol(tol)
-    return float(np.linalg.norm(p - disk.center)) <= disk.radius + tol * disk.radius
+    return float(np.linalg.norm(p - disk.center)) <= _reach(disk.radius, tol)
 
 
-def _reach(system: DiskSystem, tol: float) -> np.ndarray:
-    """Largest center distance :func:`contains_all_batch` accepts, per disk:
-    r + tol * span."""
-    return system.radii + tol * span(system.centers, system.radii)
+def _reach(radii, tol: float):
+    """Largest center distance the containment test accepts, per disk: r +
+    tol * r, the tolerance of the one disk under test, whose span is r.  No
+    other disk widens it, so adding a disk never widens another's reach."""
+    return radii + tol * radii
 
 
 def center_distances(centers: np.ndarray) -> np.ndarray:
@@ -270,7 +279,7 @@ def disjoint_pair(system: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
     """Whether no point can pass :func:`contains_all_batch` for some pair of
     disks: their center distance exceeds the sum of the two reaches by a
     factor 1 + 1e-12, enough for the rounding of every distance involved."""
-    reach = _reach(system, tol)
+    reach = _reach(system.radii, tol)
     return bool((center_distances(system.centers) > (reach[:, None] + reach) * (1.0 + 1e-12)).any())
 
 
@@ -280,7 +289,7 @@ def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFA
     Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
     difference array stays bounded however many candidates there are.
     """
-    bound = _reach(system, tol)
+    bound = _reach(system.radii, tol)
     inside = np.empty(len(points), dtype=bool)
     for start in range(0, len(points), CONTAINS_CHUNK):
         diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers
@@ -298,21 +307,26 @@ def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFA
 def _rank_deficient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank test of one Gram matrix or of a stack of them.
 
-    Returns ``(deficient, rank)`` per matrix: a matrix is deficient when it
-    is zero or its smallest singular value is at most 1e-12 of its largest.
+    Returns ``(deficient, rank)`` per matrix: a matrix is deficient when its
+    largest singular value is below the smallest normal float (it is zero,
+    or its squared lengths lost their precision and its inverse overflows;
+    rank 0) or its smallest singular value is at most 1e-12 of its largest.
     A k x k Gram matrix G is positive semidefinite, so sigma_min / sigma_max
     >= det G / tr(G)^k; det(G / tr G) > 1e-9 settles full rank with a margin
-    of 1e3 over the cutoff and over the rounding of LU, and only the other
-    matrices take the SVD.
+    of 1e3 over the cutoff and over the rounding of LU when tr G is normal,
+    and only the other matrices take the SVD.
     """
+    trace = np.trace(gram, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        doubt = ~(np.linalg.det(gram / np.trace(gram, axis1=-2, axis2=-1)[..., None, None]) > 1e-9)
+        doubt = ~(np.linalg.det(gram / trace[..., None, None]) > 1e-9)
+    doubt |= (trace < sys.float_info.min) & (gram.shape[-1] > 0)  # no normals: full rank 0
     deficient, rank = np.zeros(doubt.shape, dtype=bool), np.full(doubt.shape, gram.shape[-1])
     if doubt.any():
         sv = np.linalg.svd(gram[doubt], compute_uv=False)
         top = sv[..., 0]
-        deficient[doubt] = (top <= 0.0) | (sv[..., -1] <= 1e-12 * top)
-        rank[doubt] = np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1)
+        small = top < sys.float_info.min
+        deficient[doubt] = small | (sv[..., -1] <= 1e-12 * top)
+        rank[doubt] = np.where(small, 0, np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1))
     return deficient, rank
 
 
@@ -336,7 +350,7 @@ def intersect_two_spheres(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> Inter
         raise DimensionMismatch("disk dimensions differ")
     diff = c2 - c1
     dist = float(np.linalg.norm(diff))
-    scale = tol * span((c1, c2), (r1, r2))
+    scale = tol * float(span((c1, c2), (r1, r2)))
     if dist <= scale:
         if abs(r1 - r2) <= scale:
             raise FullSphereError("identical disks: boundary intersection is the full sphere")
@@ -372,7 +386,7 @@ def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> Intersectio
     center = lam @ N + base
     r2_all = M.radii**2 - np.sum((center - M.centers) ** 2, axis=1)
     r2 = float(np.mean(r2_all))
-    tol_sq = tol * span(M.centers, M.radii) ** 2
+    tol_sq = tol * float(span(M.centers, M.radii)) ** 2
     if r2 < -tol_sq:
         return EmptyIntersection()
     if r2 <= tol_sq or m - 1 == d:
@@ -443,7 +457,9 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     check_tol(tol)
     c, r = M.centers, M.radii
     dist = center_distances(c)
-    scale = tol * span(c, r)
+    # Each pair is tested with the tolerance of its own two disks.
+    pairs = np.stack(np.indices((len(r), len(r))), axis=-1)
+    scale = tol * span(c[pairs], r[pairs])
     identical = (dist <= scale) & (np.abs(r[:, None] - r[None, :]) <= scale)
     # Entry (i, j) drops D_j: a later duplicate of D_i, or a disk containing
     # D_i (redundant for the intersection).
@@ -587,10 +603,10 @@ class PoleEngine:
         diff = center[:, None, :] - members
         diff *= diff
         r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
-        tol_sq = tol * span(self.centers, radii) ** 2
-        # The rules of reduce_sphere_system, with the span of the walked
-        # system: a point within tol_sq of zero radius, a sphere above it
-        # while j <= d, else empty.
+        tol_sq = tol * span(members, rad) ** 2
+        # The rules of reduce_sphere_system on each subset, with its own span:
+        # a point within tol_sq of zero radius, a sphere above it while
+        # j <= d, else empty.
         sphere = (full & (r2 > tol_sq)) if batch.offsets is not None else np.zeros_like(full)
         index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cechkit import DEFAULT_TOL, DiskSystem, cech_scale, rescale, rips_scale
-from cechkit.geometry import span
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,11 +59,11 @@ def scalings(centers, radii):
     return [M, *(rescale(M, factor * nu) for factor in FACTORS)]
 
 
-def scale_reach(M, lam, tol=DEFAULT_TOL):
+def scale_reach(lam, tol=DEFAULT_TOL):
     """How far above lam the ratio ||p - c_i|| / r_i of a point that
-    containment accepts on rescale(M, lam) can reach: tol times that
-    system's span, over the smallest radius (cechkit.cech.dual_bound)."""
-    return tol * span(M.centers, lam * M.radii) / float(M.radii.min())
+    containment accepts on rescale(M, lam) can reach: each disk's reach is
+    its radius times 1 + tol (cechkit.cech.dual_bound)."""
+    return tol * lam
 
 
 def assert_in_bracket(mu, M, bracket, tol=DEFAULT_TOL):
@@ -74,7 +73,7 @@ def assert_in_bracket(mu, M, bracket, tol=DEFAULT_TOL):
     holds the rounding of the containment test and of mu."""
     lo, hi = bracket
     factor = 1.0 + (M.dimension + 10) * 2.0**-52
-    assert (lo - scale_reach(M, hi, tol)) / factor <= mu <= (hi + scale_reach(M, hi, tol)) * factor, (lo, mu, hi)
+    assert (lo - scale_reach(hi, tol)) / factor <= mu <= (hi + scale_reach(hi, tol)) * factor, (lo, mu, hi)
 
 
 @pytest.fixture

@@ -87,8 +87,8 @@ def retained_pole_points(M, tol=DEFAULT_TOL):
 
 def disjoint_pair(M, tol=DEFAULT_TOL):
     """Whether some pair's center distance exceeds the sum of the two
-    containment reaches r + tol * span(M) by the factor 1 + 1e-12."""
-    reach = [r + tol * span(M.centers, M.radii) for r in M.radii]
+    containment reaches r + tol * r by the factor 1 + 1e-12."""
+    reach = [r + tol * r for r in M.radii]
     return any(
         math.dist(M.centers[i], M.centers[j]) > (reach[i] + reach[j]) * (1.0 + 1e-12)
         for i, j in combinations(range(len(M)), 2)
@@ -167,12 +167,12 @@ def preprocess(M, tol=DEFAULT_TOL):
     """Kept indices of :func:`cechkit.geometry.preprocess`, one disk pair at a time."""
     m = len(M)
     drop = [False] * m
-    scale = tol * span(M.centers, M.radii)
     for i in range(m):
         for j in range(m):
             if i == j or drop[j]:
                 continue
             dist = float(np.linalg.norm(M.centers[i] - M.centers[j]))
+            scale = tol * float(span(M.centers[[i, j]], M.radii[[i, j]]))
             identical = dist <= scale and abs(M.radii[i] - M.radii[j]) <= scale
             if identical:
                 if i < j:

@@ -86,12 +86,10 @@ def test_two_disks_matches_minimal():
     for _ in range(100):
         d = int(rng.integers(2, 4))
         M = random_system(rng, d, 2)
-        closed_form = aabb_two_disks(M[0], M[1])
-        general = aabb_minimal(M)
-        if closed_form is None:
-            assert general is None
-        else:
-            np.testing.assert_allclose(closed_form.intervals, general.intervals, atol=1e-9)
+        box, want = aabb_two_disks(M[0], M[1]), reference_poles.aabb_minimal(M)
+        assert (box is None) == (want is None)
+        if want is not None:
+            np.testing.assert_allclose(box.intervals, want.intervals, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +338,10 @@ def test_disjoint_pair_exit_at_its_threshold(monkeypatch):
     from cechkit.geometry import DEFAULT_TOL
 
     calls = _counting_candidate_poles(monkeypatch)
-    # Two unit disks at distance dist along (0.6, 0.8): their span is
-    # 1 + 0.8 dist, so each reaches b = 1 + tol (1 + 0.8 dist), and their
-    # tangent point passes containment up to a distance of about 2 b, just
-    # below the exit's threshold 2 b (1 + 1e-12), solved here for dist.
-    grow = 1.0 + 1e-12
-    threshold = 2.0 * (1.0 + DEFAULT_TOL) * grow / (1.0 - 1.6 * DEFAULT_TOL * grow)
+    # Two unit disks at distance dist along (0.6, 0.8): each reaches
+    # b = 1 + tol, and their tangent point passes containment up to a
+    # distance of about 2 b, just below the exit's threshold 2 b (1 + 1e-12).
+    threshold = 2.0 * (1.0 + DEFAULT_TOL) * (1.0 + 1e-12)
     boxes = {}
     for offset in (-2e-12, -1e-13, 1e-13, 1e-12):
         dist = threshold * (1.0 + offset)

@@ -326,6 +326,17 @@ def test_preprocess_drops_dominated(tmp_path, capsys):
     assert value == pytest.approx(math.hypot(5.0, 0.0) / 2.0, abs=1e-9)
 
 
+def test_preprocess_keeps_the_decision_of_a_redundant_disk(tmp_path, capsys):
+    # Unit disks 2e-8 apart and a disk of radius 1000 containing both: the
+    # big disk widens neither unit disk's reach, so check answers FALSE with
+    # it as without it (--preprocess drops it).
+    path = tmp_path / "gap.csv"
+    path.write_text("0,0,1\n2.00000002,0,1\n1,0,1000\n")
+    for flags in ([], ["--preprocess"]):
+        assert main(["check", str(path), *flags]) == EXIT_NEGATIVE
+        assert capsys.readouterr().out == "FALSE\n"
+
+
 @pytest.mark.parametrize(
     "flags, vertices",
     [([], [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]), (["--preprocess"], [[1], [2], [1, 2]])],

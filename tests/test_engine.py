@@ -78,6 +78,41 @@ def test_engine_matches_reference_on_degenerate_systems(name):
         _assert_same(M)
 
 
+@pytest.mark.parametrize("gap", [1e-6, -1e-6])
+def test_engine_classifies_each_subset_with_its_own_span(gap):
+    # Unit disks 0 and 1 whose centers lie 2 + gap apart: the squared radius
+    # of their boundary intersection is about -gap, beyond tol times their
+    # own span squared (9e-9) and within tol times the system's (about
+    # 1e-5, disk 2 has radius 100).  So the pair is empty (gap > 0) or a
+    # sphere (gap < 0), never a point, in the engine as in the reference.
+    M = DiskSystem.from_arrays([[0.0, 0.0], [2.0 + gap, 0.0], [1.0, 0.0]], [1.0, 1.0, 100.0])
+    got = {}
+    for subsets, index, points, _, _ in candidate_poles(PoleEngine(M.centers), M):
+        got.update(zip(map(tuple, subsets[index]), points))
+    want = {subset: np.array([p.point for p in entries]) for subset, entries, _ in ref.candidate_poles(M) if entries}
+    assert got.keys() == want.keys()
+    for subset, points in want.items():
+        np.testing.assert_allclose(got[subset], points, rtol=0.0, atol=ATOL)
+    assert ((0, 1) in want) == (gap < 0.0)
+    if gap < 0.0:
+        assert np.ptp(want[0, 1][:, 1]) > 1e-3
+    _assert_same(M)
+
+
+def test_pair_too_close_to_square_is_dependent():
+    # Centers 7.8e-162 apart: their squared distance, the pair's Gram
+    # matrix, is subnormal and its inverse overflows, so the pair counts as
+    # dependent, as coincident centers do.  The lens of disks 0 and 2 is
+    # still the box, with or without a duplicate disk.
+    M = DiskSystem.from_arrays([[1.0, 0.0], [7.76562464e-162, 0.0], [0.0, 0.0]], [1.0, 1.0, 1.0])
+    for N in (M, M.subsystem([0, 1, 2, 0])):
+        _assert_same(N)
+        box = aabb_minimal(N)
+        assert box.degeneracy_warning
+        half = 3.0**0.5 / 2.0
+        np.testing.assert_allclose(box.intervals, [[0.0, 1.0], [-half, half]], rtol=0.0, atol=ATOL)
+
+
 def _dependent_before(M, decision):
     """Whether a subset of M with affinely dependent centers comes before the
     decision's answer in canonical order (size ascending, lexicographic):
@@ -242,9 +277,9 @@ def test_cech_scale_walks_only_below_mu_and_at_its_upper_end(monkeypatch):
     # A step above mu is replayed TRUE, and a step below it that the basis of
     # mu certifies is FALSE unwalked, so the only walks are the upper end and
     # the uncertified steps at or below mu, within the containment reach of
-    # it.  That reach is relative to the system's span, so at every scale of
-    # the system and eta 1e-6 it is far below the final bracket: only the
-    # upper end walks.
+    # it.  That reach, tol mu, is relative, so at every scale of the system
+    # and eta 1e-6 it is far below the final bracket: only the upper end
+    # walks.
     walked = _record_scales(monkeypatch)
     for base in _bisecting_systems(np.random.default_rng(353), 3):
         for k in (-6, -3, 0, 3, 6):
@@ -266,8 +301,8 @@ def test_cech_scale_walks_only_below_mu_and_at_its_upper_end(monkeypatch):
 WRONG_SCALES = {
     "nu": lambda M, mu: rips_scale(M),
     "jung": lambda M, mu: jung_factor(M.dimension) * rips_scale(M),
-    "below": lambda M, mu: mu - 80.0 * scale_reach(M, mu),
-    "above": lambda M, mu: mu + 80.0 * scale_reach(M, mu),
+    "below": lambda M, mu: mu - 80.0 * scale_reach(mu),
+    "above": lambda M, mu: mu + 80.0 * scale_reach(mu),
 }
 
 
@@ -306,8 +341,8 @@ def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong)
 
 
 # Exact Cech scales 1 + eps of the systems that the certificate must judge:
-# inside the containment reach tol span / min r (2.4e-9 to 1.1e-8 on these
-# systems, at every scale), at its edge and beyond it.
+# inside the containment reach tol = 1e-9 (a point that passes at scale lam
+# lies within lam (1 + tol) r_i of every center), at its edge and beyond it.
 EPSILONS = (-1e-9, 1e-12, 1e-10, 1e-9, 2e-9, 3e-9, 4e-9, 1e-8, 1e-6, 1e-3)
 
 
@@ -366,7 +401,7 @@ def test_certificate_is_sound_near_the_exact_scale(monkeypatch):
                 assert got.degeneracy_warning == want.degeneracy_warning
                 assert box is None and want_box is None and svg == want_svg
         per_group.setdefault(group, set()).add(certified)
-    # The tolerance is relative to the span, so each system certifies as
+    # The tolerance is relative to each disk, so each system certifies as
     # often under all five of its scalings.  Below the tolerance nothing
     # certifies; well beyond it nearly everything does.
     assert all(len(certified) == 1 for certified in per_group.values())

@@ -1,6 +1,7 @@
 """Disk membership, sphere intersections, poles and preprocessing."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -371,8 +372,9 @@ def _svd_rank_deficient(gram):
     """The rank test before the determinant screen: an SVD of every matrix."""
     sv = np.linalg.svd(gram, compute_uv=False)
     top = sv[..., 0]
-    deficient = (top <= 0.0) | (sv[..., -1] <= 1e-12 * top)
-    rank = np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1)
+    small = top < sys.float_info.min
+    deficient = small | (sv[..., -1] <= 1e-12 * top)
+    rank = np.where(small, 0, np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1))
     return deficient, rank
 
 
@@ -399,6 +401,8 @@ def test_rank_screen_matches_svd_test(k):
         normals[:, -1] = normals[:, 0] * rng.choice([-2.0, 0.5, 1.0], (200, 1))  # exactly dependent rows
         stacks.append(normals @ normals.transpose(0, 2, 1))
     stacks.append(np.zeros((3, k, k)))
+    # Well conditioned but below the smallest normal float: deficient, rank 0.
+    stacks.append(_gram_stack(rng, k, 20, -2) * 2.0**-1040)
     gram = np.concatenate(stacks)
     got, want = _rank_deficient(gram), _svd_rank_deficient(gram)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -469,9 +473,12 @@ def test_disk_system_rejects_mixed_dimensions():
         (np.zeros((0, 2)), []),
         ([[-1e154, 0.0], [1e154, 0.0]], [1.01e154, 1.01e154]),
         ([[-1e200, 0.0], [1e200, 0.0]], [1.0, 1.0]),
+        ([[0.0, 0.0], [7e-155, 0.0]], [7e-155, 7e-155]),
+        ([[0.0, 0.0], [1e-160, 0.0]], [1e-160, 1e-160]),
     ],
     ids=["fewer-radii-than-centers", "nan-center", "inf-radius", "zero-radius", "1d-centers", "no-disks",
-         "squared-extent-overflows-1e154", "squared-extent-overflows-1e200"],
+         "squared-extent-overflows-1e154", "squared-extent-overflows-1e200", "squared-extent-underflows-1e-154",
+         "squared-extent-underflows-1e-160"],
 )
 def test_disk_system_from_arrays_rejects(centers, radii):
     with pytest.raises(GeometryError):
