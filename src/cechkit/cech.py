@@ -157,12 +157,13 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     system intersects, with ``witness`` a point of it.  The degeneracy
     warning covers every decision made.
 
-    The bisection is replayed from the exact scale mu of :func:`cech_basis`:
-    a midpoint above mu is answered TRUE unwalked, and any other is decided,
-    FALSE unwalked when the basis of mu certifies it (:func:`dual_bound`).
-    The upper end must then walk TRUE; decisions are monotone in the scale,
-    so it vouches for every replayed step and the report is that of the
-    bisection that decides every step, which runs instead when it fails.
+    The bisection is replayed from the exact scale mu of :func:`cech_basis`
+    (the search :func:`certified_empty` runs): a midpoint above mu is
+    answered TRUE unwalked, and any other is decided, FALSE unwalked when
+    the basis of mu certifies it (:func:`dual_bound`).  The upper end must
+    then walk TRUE; decisions are monotone in the scale, so it vouches for
+    every replayed step and the report is that of the bisection that
+    decides every step, which runs instead when it fails, for any mu.
     Once nu is FALSE the warning is whether some subset has dependent
     centers: a FALSE walk visits them all, any other walk only some.
     """
@@ -201,12 +202,6 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
                 if witness is not None:
                     break
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
-
-
-# Rounds of basis pivoting in certified_empty: 419 seeded systems (d 2-4,
-# m 3-29), each rescaled to Cech scale 1 + eps for eps = 1e-8, 1e-6, 1e-3
-# and 0.1, all certified within 6 rounds.
-CERTIFY_ROUNDS = 8
 
 
 def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float = DEFAULT_TOL):
@@ -272,32 +267,16 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
 
 
 def certified_empty(M: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
-    """Whether :func:`dual_bound` proves, at M's own scale, that no
-    point passes containment in every disk of M.
+    """Whether :func:`dual_bound`, on the basis of :func:`cech_basis`,
+    proves at M's own scale that no point passes containment in every disk.
 
     By Jung's bound the Cech scale is at most sqrt(2d/(d+1)) nu, so when
     that is at most 1 nothing can be certified and no search runs.
-    Otherwise the search starts from the pair attaining nu; each round takes
-    the :func:`cech_basis` of its at most d+2 disks, tests its bound, and
-    adds to the basis the disk farthest, relative to its radius, from the
-    basis's minimax point.  It stops when a bound certifies, when no disk
-    lies farther than the basis's own scale (then the basis is M's and its
-    bound has failed), or after CERTIFY_ROUNDS rounds.
     """
-    nu, members = _widest_pair(M.centers, M.radii)
-    if jung_factor(M.dimension) * nu <= 1.0:
+    if jung_factor(M.dimension) * rips_scale(M) <= 1.0:
         return False
-    for _ in range(CERTIFY_ROUNDS):
-        scale, basis, weights = cech_basis(M, members)
-        if dual_bound(M, basis, weights, tol)(1.0):
-            return True
-        point = weights @ M.centers[basis] / weights.sum()
-        ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii
-        far = int(np.argmax(ratios))
-        if not ratios[far] > scale or far in basis:
-            return False
-        members = np.append(basis, far)
-    return False
+    _, basis, weights = cech_basis(M)
+    return dual_bound(M, basis, weights, tol)(1.0)
 
 
 def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,29 +321,41 @@ def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np
     return _meets(centers, radii, rows)[0]
 
 
-def cech_basis(M: DiskSystem, members: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact Cech scale of the disks ``members`` of M (default all), with a
-    basis that attains it.
+def cech_basis(M: DiskSystem) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact Cech scale of M, with a basis that attains it.
 
     The problem min_x max_i ||x - c_i|| / r_i is LP-type of combinatorial
-    dimension d+1, so the scale is the largest valid :func:`subset_roots`
-    root over the subsets of at most d+1 members; pairs give their Rips
-    ratio, and one disk gives 0.  Returns ``(scale, basis, weights)``: the
-    indices into M of the subset attaining it, and the barycentric
-    coordinates, on its centers, of its minimax point.
+    dimension d+1, so a basis of at most d+1 disks attains the scale.  The
+    search pivots to one in O(m) memory, from the pair attaining nu and its
+    touching point.  Each round adds to the basis the disk outside it
+    farthest, relative to its radius, from the basis's minimax point, and
+    takes the first largest valid :func:`subset_roots` root above the scale
+    over the subsets of 3 to d+1 of these (at most d+2, sorted) disks.  The
+    search stops when no disk lies farther than the scale, or when no root
+    rises above it (ties, to rounding); one disk gives 0.  Returns
+    ``(scale, basis, weights)``: the indices into M of the subset attaining
+    it, and the barycentric coordinates, on its centers, of its minimax
+    point.
     """
-    members = np.arange(len(M)) if members is None else members
-    scale, pair = _widest_pair(M.centers[members], M.radii[members])
-    basis = members[pair]
+    scale, basis = _widest_pair(M.centers, M.radii)
     weights = M.radii[basis[::-1]] / M.radii[basis].sum()  # the pair's touching point
-    for j in range(3, min(len(members), M.dimension + 1) + 1):
-        rows = members[combination_rows(len(members), j)]
-        roots, bary = _meets(M.centers, M.radii, rows)
-        best = int(np.argmax(np.fmax(roots, -np.inf)))
-        if roots[best] > scale:
-            scale, basis = float(roots[best]), rows[best]
-            weights = np.append(bary[best], 1.0 - bary[best].sum())
-    return scale, basis, weights
+    while True:
+        point = weights @ M.centers[basis] / weights.sum()
+        ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii
+        ratios[basis] = -np.inf  # a member lies farther than the scale only by rounding
+        far = int(np.argmax(ratios))
+        if not ratios[far] > scale:
+            return scale, basis, weights
+        members, rose = np.sort(np.append(basis, far)), False
+        for j in range(3, min(len(members), M.dimension + 1) + 1):
+            rows = members[combination_rows(len(members), j)]
+            roots, bary = _meets(M.centers, M.radii, rows)
+            top = int(np.argmax(np.fmax(roots, -np.inf)))
+            if roots[top] > scale:
+                scale, basis, rose = float(roots[top]), rows[top], True
+                weights = np.append(bary[top], 1.0 - bary[top].sum())
+        if not rose:
+            return scale, basis, weights
 
 
 def exact_cech_scale(M: DiskSystem) -> float:

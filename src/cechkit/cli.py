@@ -23,7 +23,7 @@ import numpy as np
 from .aabb import aabb_minimal, pole_envelope
 from .cech import cech_scale, is_cech_system, pole_walk, rips_scale
 from .filtration import build_filtration
-from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, preprocess
+from .geometry import DEFAULT_TOL, DiskSystem, GeometryError, check_tol, preprocess
 
 SCHEMA = "cech-kit/1"
 
@@ -263,16 +263,21 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _finite(positive: bool):
-    """argparse type of a finite float that is > 0 (``positive``) or >= 0."""
+def _finite(text: str) -> float:
+    """argparse type of a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
-    def parse(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-            raise argparse.ArgumentTypeError(f"must be finite and {'>' if positive else '>='} 0, got {text}")
-        return value
 
-    return parse
+def _tol(text: str) -> float:
+    """argparse type of a tolerance that :func:`check_tol` accepts."""
+    try:
+        check_tol(value := float(text))
+    except GeometryError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="disk system file (CSV or JSON)")
     common.add_argument(
-        "--tol", type=_finite(False), default=DEFAULT_TOL,
-        help="relative geometric tolerance: a point may lie tol * r outside a disk of radius r (finite, >= 0)",
+        "--tol", type=_tol, default=DEFAULT_TOL,
+        help="relative geometric tolerance: a point may lie tol * r outside a disk of radius r (0 <= tol <= 1)",
     )
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument(
@@ -306,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rips-scale", parents=[common], help="Vietoris-Rips scale")
     p.set_defaults(func=functools.partial(_run, _rips_scale))
     p = sub.add_parser("cech-scale", parents=[common], help="Cech scale by bisection")
-    p.add_argument("--eta", type=_finite(True), default=1e-6, help="bisection precision (finite, > 0)")
+    p.add_argument("--eta", type=_finite, default=1e-6, help="bisection precision (finite, > 0)")
     p.set_defaults(func=functools.partial(_run, _cech_scale))
     p = sub.add_parser("aabb", parents=[common], help="minimal AABB of the intersection")
     p.set_defaults(func=functools.partial(_run, _aabb))
     p = sub.add_parser("filtration", parents=[common], help="filtered Cech complex")
     p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--eta", type=_finite(True), default=1e-6, help="accepted (finite, > 0); scales are exact")
+    p.add_argument("--eta", type=_finite, default=1e-6, help="accepted (finite, > 0); scales are exact")
     p.set_defaults(func=functools.partial(_run, _filtration))
     p = sub.add_parser("plot", parents=[common], help="SVG plot (2D only)")
     p.add_argument("--output", help="write SVG here instead of stdout")

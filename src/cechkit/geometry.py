@@ -52,9 +52,10 @@ class DegenerateConfiguration(GeometryError):
 
 
 def check_tol(tol: float) -> None:
-    """Raise GeometryError unless the tolerance is finite and nonnegative."""
-    if not 0.0 <= tol < math.inf:
-        raise GeometryError(f"tol must be finite and nonnegative, got {tol}")
+    """Raise GeometryError unless 0 <= tol <= 1.  :class:`DiskSystem` keeps
+    d span^2 finite, so every reach and tol span^2 then stays finite."""
+    if not 0.0 <= tol <= 1.0:
+        raise GeometryError(f"tol must be finite and nonnegative, at most 1, got {tol}")
 
 
 def span(centers, radii):

@@ -7,7 +7,8 @@ centers (:class:`DegenerateConfiguration`) yields no pole and is flagged.
 Its consumers below keep the semantics of the package's decision, minimal box
 and SVG picture, and of the filtration before its subsystems were bisected in
 lockstep.  The loop forms of :func:`cechkit.geometry.preprocess` and
-:func:`cechkit.geometry.disjoint_pair` are kept here as well.
+:func:`cechkit.geometry.disjoint_pair` are kept here as well, and the full
+subset enumeration of the exact Cech scale.
 """
 
 import math
@@ -39,6 +40,7 @@ from cechkit.geometry import (
     contains_all_batch,
     span,
 )
+from cechkit.cech import subset_roots
 
 
 def candidate_poles(M, tol=DEFAULT_TOL):
@@ -145,6 +147,18 @@ def cech_scale(M, eta=1e-6, tol=DEFAULT_TOL, decide=is_cech_system):
         warn = warn or decision.degeneracy_warning
         witness = decision.witness
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness, warn)
+
+
+def exact_cech_scale(M):
+    """The largest of the Rips scale and every valid
+    :func:`cechkit.cech.subset_roots` root over all subsets of 3 to d+1
+    disks: the full enumeration that the basis search of
+    :func:`cechkit.cech.cech_basis` replaces."""
+    scale = rips_scale(M)
+    for j in range(3, min(len(M), M.dimension + 1) + 1):
+        roots = subset_roots(M.centers, M.radii, np.array(list(combinations(range(len(M)), j))))
+        scale = float(np.max(roots, initial=scale, where=~np.isnan(roots)))
+    return scale
 
 
 def build_filtration(M, max_dim, eta=1e-6, tol=DEFAULT_TOL):

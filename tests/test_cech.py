@@ -200,7 +200,7 @@ def test_scale_rejects_bad_eta(equilateral_system):
             cech_scale(equilateral_system, eta)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 2.0], ids=["nan", "negative", "inf", "above-one"])
 def test_library_rejects_bad_tol(equilateral_system, tol):
     # The CLI refuses such a --tol itself; a library call raises before any
     # arithmetic, also for one disk, which no tolerance could change.

@@ -161,14 +161,25 @@ inputs = (
 )
 
 
+# --tol and --eta values: any float's repr, short text, and the edges of
+# their ranges.
+option_values = (
+    st.floats().map(repr)
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "-0", "1", "1.0000000000000002", "2", "1e308", "5e-324", "inf", "nan"])
+)
+options = st.lists(st.tuples(st.sampled_from(["--tol", "--eta"]), option_values), max_size=2)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.sampled_from(COMMANDS), inputs)
-def test_fuzzed_input_exits_without_a_traceback(tmp_path_factory, command, source):
+@given(st.sampled_from(COMMANDS), inputs, options)
+def test_fuzzed_input_exits_without_a_traceback(tmp_path_factory, command, source, flags):
     fmt, text = source
     path = tmp_path_factory.mktemp("fuzz") / "input"
     path.write_text(text, encoding="utf-8")
+    argv = [command, "--input-format", fmt, *(f"{flag}={value}" for flag, value in flags), str(path)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--input-format", fmt, str(path)])
+        code = main(argv)
     assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_DEGENERATE)
 
 
@@ -267,9 +278,12 @@ def test_unknown_flag_is_usage_error(csv_43, capsys):
     assert main(["check", "--bogus", csv_43]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"], ids=["tol-negative", "tol-nan", "tol-inf"])
+@pytest.mark.parametrize(
+    "tol", ["-1", "nan", "inf", "2", "1e308"], ids=["tol-negative", "tol-nan", "tol-inf", "tol-two", "tol-huge"]
+)
 def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
-    # Two overlapping unit disks: a bad --tol must not reach the geometry.
+    # Two overlapping unit disks: a bad --tol must not reach the geometry,
+    # where a tol above 1 could overflow the reaches and tol * span^2.
     path = tmp_path / "pair.csv"
     path.write_text("0,0,1\n1,0,1\n")
     assert main(["check", "--tol", tol, str(path)]) == EXIT_USAGE

@@ -315,12 +315,13 @@ def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong)
     # than the upper end alone.  From a scale above the true one every step
     # up to it is decided.  Either way the report is the reference's.  The
     # basis is the true one, so its certificates stay sound; a decision is
-    # a walk or a certified FALSE.
+    # a walk or a certified FALSE.  certified_empty uses only the basis, so
+    # the wrong scale reaches cech_scale alone.
     basis = cechkit.cech.cech_basis
 
-    def wrong_basis(M, members=None):
-        mu, *rest = basis(M, members)
-        return (mu if members is not None else WRONG_SCALES[wrong](M, mu), *rest)
+    def wrong_basis(M):
+        mu, *rest = basis(M)
+        return (WRONG_SCALES[wrong](M, mu), *rest)
 
     monkeypatch.setattr(cechkit.cech, "cech_basis", wrong_basis)
     walked, certified = _record_scales(monkeypatch), _record_certified(monkeypatch)

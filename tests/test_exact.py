@@ -1,6 +1,7 @@
 """Exact Cech scales from closed-form subset roots."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference_poles as ref
 from cechkit import DiskSystem, build_filtration, exact_cech_scale, oracle_minimax, rips_scale
-from conftest import random_system
+from conftest import DEGENERATE, lattice_systems, random_system, scalings
 
 
 def test_exact_scale_within_oracle_slack():
@@ -47,6 +49,59 @@ def test_huge_triple_keeps_its_scale(s):
         warnings.simplefilter("error")
         got = scales(s)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+# (d, m) of the benchmark's decision and cech-scale systems: centers in
+# [0, 1]^d, radii 0.9-1.1.
+BENCHMARK_SHAPES = ((2, 8), (2, 10), (2, 12), (2, 16), (2, 24), (2, 32), (3, 6), (3, 8), (3, 12), (3, 16))
+
+
+def test_basis_search_matches_the_full_enumeration():
+    # The pivoting search of cech_basis reaches, bit for bit, the largest
+    # root of every subset of up to d+1 disks.
+    rng = np.random.default_rng(613)
+    systems = [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
+    systems += [M for _, M in lattice_systems()]
+    systems += [random_system(rng, d, int(rng.integers(2, 13))) for d in (2, 3, 4) for _ in range(40)]
+    for d, m in BENCHMARK_SHAPES:
+        systems += [DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (m, d)), rng.uniform(0.9, 1.1, m)) for _ in range(3)]
+    for M in systems:
+        assert exact_cech_scale(M) == ref.exact_cech_scale(M)
+
+
+@st.composite
+def lattice_draws(draw):
+    """Centers in {0, 1, 2}^d and radii in {1/4, 2/4, ..., 6/4}."""
+    d, m = draw(st.integers(2, 4)), draw(st.integers(2, 10))
+    centers = draw(arrays(float, (m, d), elements=st.integers(0, 2).map(float)))
+    radii = draw(arrays(float, m, elements=st.integers(1, 6).map(lambda k: k / 4.0)))
+    return DiskSystem.from_arrays(centers, radii)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lattice_draws())
+def test_basis_search_on_lattice_ties(M):
+    # Lattice centers and radii tie many subsets at one scale, and their
+    # computed roots differ in the last bits.  The search returns one of the
+    # enumerated roots, so never a larger one; the enumeration keeps the
+    # largest of the tied roots, the search the first it reaches.  On
+    # 90,000 seeded draws of this kind 99.7% were equal and the largest gap
+    # was 16 ulps, at a pair whose touching point lies on two more disks.
+    got, want = exact_cech_scale(M), ref.exact_cech_scale(M)
+    assert want - 32.0 * np.spacing(want) <= got <= want
+
+
+def test_basis_search_memory_is_linear_in_m():
+    # The full enumeration stacks all C(48, 4) = 194,580 subsets of a
+    # d = 3, m = 48 system (about 100 MB); the search holds O(m).
+    M = random_system(np.random.default_rng(617), 3, 48)
+    tracemalloc.start()
+    try:
+        exact_cech_scale(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # Centers in [0, 1]^d and radii in [0.1, 1], as in random_system; hypothesis
