@@ -1,13 +1,21 @@
 """Brute-force ground truth for intersection decisions, scales and AABBs.
 
-Test-suite oracle only: multi-round grid refinement over convex
-objectives, never used by the production algorithms.  Intended for d <= 3.
+Test-suite oracle only, never used by the production algorithms and
+written without them: from cechkit it takes only the DiskSystem and Box
+containers.  Intended for d <= 3.
+
+:func:`oracle_minimax` brackets the minimax value min_x max_i ||x - c_i|| / r_i
+between the objective at a point, an upper bound, and a Lagrange dual
+value, a lower bound, so its slack is a certified duality gap.
+:func:`oracle_aabb` bisects hyperplane slices whose gap is minimised by
+grid refinement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -15,16 +23,26 @@ import numpy as np
 from .aabb import Box
 from .geometry import DiskSystem
 
+# Dual terms below this are dropped: above it, a subnormal rounding moves a
+# sum of at most (d + 1)^2 terms by less than 2^-100 of itself.
+TINY = 2.0**-960
+UNIT_ROUNDOFF = 2.0**-53
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    initial_grid: int = 64
+    initial_grid: int = 16
     refinement_rounds: int = 6
     shrink_factor: float = 4.0
 
     def __post_init__(self):
         if self.initial_grid < 2 or self.refinement_rounds < 1 or self.shrink_factor <= 1:
             raise ValueError("oracle config values must be positive (grid >= 2, shrink > 1)")
+
+
+# oracle_aabb's default: its slice grids have initial_grid // 2 = 32
+# points, as when this was the default of every oracle.
+AABB_CONFIG = OracleConfig(initial_grid=64)
 
 
 class MinimaxResult(NamedTuple):
@@ -103,13 +121,108 @@ def _grid_refine(
     return best_value, best_point, step, tuple(history)
 
 
-def oracle_minimax(M: DiskSystem, cfg: OracleConfig | None = None) -> MinimaxResult:
-    """min over x of max_i ||x - c_i|| / r_i by grid refinement.
+def _equal_ratio_points(centers, radii, subsets, unit):
+    """Candidate minimax points of the subsystems ``subsets`` (n, k), k >= 2.
 
-    The objective is convex and its minimizer lies in the convex hull of
-    the centers, so refinement over the centers' bounding box converges.
-    ``slack`` bounds |value - true minimum| via the Lipschitz constant
-    max_i 1/r_i times the final grid cell diagonal.
+    For each row S, the points x of the affine hull of S's centers where
+    every disk of S has one ratio ||x - c_i|| / r_i = sqrt(t).  With
+    x = c_0 + sum_j y_j (c_j - c_0), the differences of the squared
+    equations are linear, G y = (b - t delta) / 2, and the first equation is
+    then a quadratic in t.  Lengths are in ``unit``, a power of two.
+    Returns the points, their barycentric weights (1 - sum y, y), which at
+    the minimax point of S are its KKT multipliers over r_i^2, and the rows
+    of ``subsets`` they belong to: one or two per subset with affinely
+    independent centers, none for the others.
+    """
+    origin = centers[subsets[:, 0]]
+    a = (centers[subsets[:, 1:]] - origin[:, None, :]) / unit
+    rho2 = (radii[subsets] / unit) ** 2
+    gram = a @ a.transpose(0, 2, 1)
+    diagonal = np.diagonal(gram, axis1=1, axis2=2)
+    (rows,) = np.nonzero(np.linalg.det(gram) > 1e-12 * np.prod(diagonal, axis=1))
+    a, rho2 = a[rows], rho2[rows]
+    rhs = 0.5 * np.stack([np.sum(a * a, axis=2), rho2[:, 1:] - rho2[:, :1]], axis=2)
+    y = np.linalg.solve(gram[rows], rhs)  # (n', k - 1, 2): y = y0 - t y1
+    u = y.transpose(0, 2, 1) @ a
+    u0, u1 = u[:, 0], u[:, 1]
+    qa, qc = np.sum(u1 * u1, axis=1), np.sum(u0 * u0, axis=1)
+    qb = 2.0 * np.sum(u0 * u1, axis=1) + rho2[:, 0]
+    q = 0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    t = np.stack([q / qa, qc / q], axis=1).ravel()  # both roots of qa t^2 - qb t + qc
+    roots = np.repeat(np.arange(len(rows)), 2)
+    valid = np.isfinite(t) & (t >= 0.0)
+    t, roots = t[valid], roots[valid]
+    coords = y[roots, :, 0] - t[:, None] * y[roots, :, 1]
+    weights = np.concatenate([1.0 - np.sum(coords, axis=1, keepdims=True), coords], axis=1)
+    points = origin[rows[roots]] + unit * (u0[roots] - t[:, None] * u1[roots])
+    return points, weights, rows[roots]
+
+
+def _dual_bound(centers, radii, subsets, weights, unit):
+    """The largest sqrt(h) over the rows, before the rounding margin.
+
+    For weights w >= 0 on the disks of a row S, let alpha_i = w_i r_i^2.
+    Weak duality: at the minimiser x*, ||x* - c_i||^2 <= mu^2 r_i^2, so
+        h = min_x sum alpha_i ||x - c_i||^2 / r_i^2 <= mu^2 sum alpha_i,
+    and the minimum over x is the weighted variance of the centers,
+        sum_{i<j} w_i w_j ||c_i - c_j||^2 / sum w_i.
+    So mu^2 >= sum_{i<j} w_i w_j D_ij / (sum w_i  sum w_i r_i^2), a ratio of
+    sums of nonnegative terms.  Any weights give a bound: negative ones are
+    cut to 0 and each row is divided by its largest weight, so no term
+    overflows; a row without a positive weight gives NaN and drops out.
+    Lengths are in ``unit``.
+    """
+    w = np.maximum(weights, 0.0)
+    w = w / np.max(w, axis=1, keepdims=True)
+    chosen = centers[subsets]
+    diff = (chosen[:, :, None, :] - chosen[:, None, :, :]) / unit
+    numerator = np.sum(w[:, :, None] * w[:, None, :] * np.sum(diff * diff, axis=3), axis=(1, 2))
+    denominator = 2.0 * np.sum(w, axis=1) * np.sum(w * (radii[subsets] / unit) ** 2, axis=1)
+    usable = (numerator > TINY) & (denominator > TINY)
+    return math.sqrt(float(np.max(numerator[usable] / denominator[usable], initial=0.0)))
+
+
+def _polish(objective, centers, radii, point, unit):
+    """Active-set polish of ``point``: the equal-ratio points of every subset
+    of 2 to d + 1 of the d + 2 disks with the largest ratios at ``point``
+    (at the minimum, which is positive here, at least two disks are
+    active).  Returns the value and the point of the best of ``point`` and
+    the candidates, and the largest dual bound of their weights."""
+    m, d = centers.shape
+    ratios = np.linalg.norm(point - centers, axis=1) / radii
+    top = np.sort(np.argsort(ratios, kind="stable")[max(m - d - 2, 0):])
+    lower, upper = centers.min(axis=0), centers.max(axis=0)
+    value = float(objective(point[None, :])[0])
+    bound = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for size in range(2, min(len(top), d + 1) + 1):
+            subsets = np.array(list(combinations(top, size)))
+            points, weights, rows = _equal_ratio_points(centers, radii, subsets, unit)
+            bound = max(bound, _dual_bound(centers, radii, subsets[rows], weights, unit))
+            # The minimiser lies in the centers' box, and moving a point into
+            # that box brings it nearer to every center.
+            points = np.clip(points[np.all(np.isfinite(points), axis=1)], lower, upper)
+            if len(points):
+                values = objective(points)
+                best = int(np.argmin(values))
+                if values[best] < value:
+                    value, point = float(values[best]), points[best]
+    return value, point, bound
+
+
+def oracle_minimax(M: DiskSystem, cfg: OracleConfig | None = None) -> MinimaxResult:
+    """min over x of max_i ||x - c_i|| / r_i, with a certified error bound.
+
+    The objective f is convex and its minimiser lies in the centers'
+    bounding box.  A coarse grid refinement over that box finds a start,
+    an active-set polish (:func:`_polish`) improves it, and ``value`` is f at
+    the returned ``point``: an upper bound U.  ``slack`` is U - L for a lower
+    bound L, the larger of the grid's Lipschitz bound (grid value minus
+    max_i 1/r_i times half the final cell diagonal) and the Lagrange dual
+    bound of the polish's multipliers (:func:`_dual_bound`) less a rounding
+    margin; so value - slack <= minimum <= value + slack, and the slack is
+    never wider than the grid's alone.  ``history`` is the grid's per-round
+    values followed by ``value``.
     """
     cfg = cfg or OracleConfig()
     centers, radii = M.centers, M.radii
@@ -126,15 +239,43 @@ def oracle_minimax(M: DiskSystem, cfg: OracleConfig | None = None) -> MinimaxRes
         return MinimaxResult(value, point, 0.0, (value,))
     lipschitz = float(np.max(1.0 / radii))
     value, point, step, history = _grid_refine(objective, lower, upper, cfg, lipschitz)
-    slack = 0.5 * lipschitz * float(np.linalg.norm(step))
-    return MinimaxResult(value, point, slack, history)
+    grid_bound = value - 0.5 * lipschitz * float(np.linalg.norm(step))
+    # A power of two at least the system's extent: dividing by it is exact,
+    # keeps every squared length of the polish and the bound below d, and
+    # scales with the system.
+    unit = math.ldexp(1.0, math.frexp(float(np.max(upper - lower) + np.max(radii)))[1])
+    value, point, dual = _polish(objective, centers, radii, point, unit)
+    # Rounding margin, with u = 2^-53 and rel(z) the relative error of a
+    # computed z.  Every operation rounds with a factor 1 + delta, |delta| <= u,
+    # and a sum of n nonnegative terms in any order gains at most (n - 1) u.
+    # - Dual bound of a row of k <= d + 1 disks: c_i - c_j rounds once (its
+    #   square twice), the square once, the d-term sum d - 1 times, then
+    #   w_i w_j and the product with D_ij twice, the k^2-term sum k^2 - 1
+    #   times; sum w is k - 1 roundings, sum w rho^2 is k + 1, their product
+    #   and the quotient one each.  So rel(L^2) <= n u with
+    #   n = d + k^2 + 2k + 5 <= d^2 + 5d + 8 (k = d + 1), and the square root
+    #   adds one more: rel(L) <= (n / 2 + 1) u.  Division by ``unit`` is exact
+    #   (TINY bounds what underflow can move).
+    # - The value: x - c_i, its square, the d-term sum, the square root and
+    #   the division by r_i give rel(f) <= ((d + 2) / 2 + 2) u = (d + 6) u / 2.
+    # Then L - margin <= mu follows from rel(L), and mu <= U + slack needs
+    # 2 rel(f) U more, as mu <= f(x) <= U (1 + rel(f)).  The factor 2 covers
+    # the second-order terms and the rounding of U - L.  The grid's bound is
+    # taken as computed, so the slack is never wider than the grid's alone;
+    # it is within rounding of mu only where f rises at the Lipschitz rate
+    # all the way from the minimiser to a grid point half a cell diagonal
+    # away, as on the symmetric collinear systems of the tests.
+    d = M.dimension
+    margin = 2.0 * ((d * d + 5 * d + 8) / 2 + 1 + (d + 6)) * UNIT_ROUNDOFF * max(value, dual)
+    lower_bound = min(max(grid_bound, dual - margin), value)
+    return MinimaxResult(value, point, value - lower_bound, (*history, value))
 
 
 def oracle_intersects(M: DiskSystem, cfg: OracleConfig | None = None) -> bool:
     """True iff the minimax value is at most 1 + slack.
 
-    The slack absorbs the final grid step so boundary-tight systems are
-    not misreported; callers should treat |value - 1| <= slack as
+    The slack is a certified duality gap, so the true minimax value lies
+    within it of ``value``: callers should treat |value - 1| <= slack as
     indeterminate (use :func:`oracle_minimax` directly to read the band).
     """
     result = oracle_minimax(M, cfg)
@@ -187,7 +328,7 @@ def oracle_aabb(M: DiskSystem, cfg: OracleConfig | None = None) -> Box | None:
     extreme slice positions are bisected to the grid-step tolerance.
     Returns None when no axis admits a feasible slice.
     """
-    cfg = cfg or OracleConfig()
+    cfg = cfg or AABB_CONFIG
     d = M.dimension
     scale = 1.0 + float(np.max(M.radii)) + float(np.max(np.ptp(M.centers, axis=0), initial=0.0))
     feas_eps = 1e-8 * scale

@@ -21,7 +21,7 @@ from cechkit import (
     rips_scale,
 )
 from cechkit.cli import render_svg
-from cechkit.oracle import OracleConfig, oracle_minimax
+from cechkit.oracle import oracle_minimax
 from conftest import DEGENERATE, assert_in_bracket, lattice_systems, random_system, scalings
 
 SQRT2 = math.sqrt(2.0)
@@ -251,16 +251,17 @@ def test_answers_just_below_the_overflow_limit():
 # ---------------------------------------------------------------------------
 
 LATTICE = dict(lattice_systems())
-# A 48-point grid refined 7 rounds: half the default oracle's time on these
-# systems, with a band at most 2.5 times as wide, and none of them in it.
-ORACLE = OracleConfig(initial_grid=48, refinement_rounds=7)
 
 
 def _oracle_decision(M):
-    """oracle_intersects(M); inside the oracle's band |value - 1| <= slack,
-    None, which no decision equals."""
-    result = oracle_minimax(M, ORACLE)
-    return None if abs(result.value - 1.0) <= result.slack else bool(result.value <= 1.0 + result.slack)
+    """TRUE when the oracle's point lies in every disk (value <= 1, up to the
+    rounding of the ratio); FALSE when the oracle's certified band lies above
+    1 (value - slack > 1); in the band (1, 1 + slack] None, which no decision
+    equals."""
+    result = oracle_minimax(M)
+    if result.value <= 1.0:
+        return True
+    return False if result.value - result.slack > 1.0 else None
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))

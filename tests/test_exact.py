@@ -16,8 +16,8 @@ from conftest import DEGENERATE, lattice_systems, random_system, scalings
 
 
 def test_exact_scale_within_oracle_slack():
-    # Criterion 5's generator; the oracle's value is an objective value, so
-    # value - slack <= mu <= value.
+    # Criterion 5's generator; the oracle's slack is a certified duality
+    # gap, so value - slack <= mu <= value + slack.
     rng = np.random.default_rng(607)
     for d, count in ((2, 100), (3, 30)):
         for _ in range(count):
