@@ -8,7 +8,8 @@ containers.  Intended for d <= 3.
 between the objective at a point, an upper bound, and a Lagrange dual
 value, a lower bound, so its slack is a certified duality gap.
 :func:`oracle_aabb` bisects hyperplane slices whose gap is minimised by
-grid refinement.
+grid refinement.  The grids are products of axes, and both objectives sum
+the squared distances to the centers axis by axis (:func:`_squared_distances`).
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def _grid_refine(
 ):
     """Minimize a convex Lipschitz objective over a box by grid refinement.
 
-    objective maps an (n, k) array of points to n values.  Each round the
-    window shrinks to the bounding box of the grid points whose value is
+    objective maps the k >= 1 axes of a round's grid, as the open mesh
+    ``np.ix_(*axes)``, to the (n,) * k grid of values in C order.  Each round
+    the window shrinks to the bounding box of the grid points whose value is
     within half a Lipschitz cell diagonal of the round minimum; for a convex
     objective that box is certified to contain the true minimizer, so the
     final value is within lipschitz * ||final step|| / 2 of the minimum.
@@ -77,10 +79,6 @@ def _grid_refine(
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    k = lower.size
-    if k == 0:
-        value = float(objective(np.zeros((1, 0)))[0])
-        return value, np.zeros(0), np.zeros(0), (value,)
     n = cfg.initial_grid
     best_value = math.inf
     best_point = 0.5 * (lower + upper)
@@ -89,14 +87,12 @@ def _grid_refine(
     step = (hi - lo) / max(n - 1, 1)
     rounds = 0
     while True:
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(k)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        values = objective(points)
-        idx = int(np.argmin(values))
+        axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+        values = objective(np.ix_(*axes))
+        idx = np.unravel_index(int(np.argmin(values)), values.shape)
         if values[idx] < best_value:
             best_value = float(values[idx])
-            best_point = points[idx]
+            best_point = np.array([axis[i] for axis, i in zip(axes, idx)])
         history.append(best_value)
         rounds += 1
         if rounds >= cfg.refinement_rounds and (
@@ -108,9 +104,9 @@ def _grid_refine(
         # The true minimizer is within half a cell diagonal of its nearest
         # grid point, so the sublevel set below min + L*halfdiag contains it.
         margin = 0.5 * lipschitz * float(np.linalg.norm(step))
-        near = points[values <= float(values[idx]) + margin]
-        new_lo = np.maximum(near.min(axis=0) - step, lo)
-        new_hi = np.minimum(near.max(axis=0) + step, hi)
+        near = np.nonzero(values <= float(values[idx]) + margin)
+        new_lo = np.maximum([axis[i].min() for axis, i in zip(axes, near)] - step, lo)
+        new_hi = np.minimum([axis[i].max() for axis, i in zip(axes, near)] + step, hi)
         floor = (hi - lo) / cfg.shrink_factor  # cap the per-round shrink
         mid = 0.5 * (new_lo + new_hi)
         new_lo = np.minimum(new_lo, mid - 0.5 * floor)
@@ -119,6 +115,17 @@ def _grid_refine(
         hi = np.minimum(new_hi, upper)
         step = (hi - lo) / max(n - 1, 1)
     return best_value, best_point, step, tuple(history)
+
+
+def _squared_distances(coords, centers):
+    """sum_q (x_q - c_iq)^2 for coordinate arrays x_q that broadcast together
+    (a grid's open mesh, or a point list's columns), disks on the last axis.
+    A grid costs one (m, n) term per axis, added in axis order as np.sum adds
+    a point's coordinates, so the sums match those bit for bit.  The disks
+    run first in memory, where a max over them is an elementwise reduction.
+    """
+    total = sum(np.subtract.outer(centers[:, q], x) ** 2 for q, x in enumerate(coords))
+    return total.transpose(*range(1, total.ndim), 0)
 
 
 def _equal_ratio_points(centers, radii, subsets, unit):
@@ -186,13 +193,14 @@ def _polish(objective, centers, radii, point, unit):
     """Active-set polish of ``point``: the equal-ratio points of every subset
     of 2 to d + 1 of the d + 2 disks with the largest ratios at ``point``
     (at the minimum, which is positive here, at least two disks are
-    active).  Returns the value and the point of the best of ``point`` and
-    the candidates, and the largest dual bound of their weights."""
+    active).  ``objective`` takes coordinate arrays, as on the grid.
+    Returns the value and the point of the best of ``point`` and the
+    candidates, and the largest dual bound of their weights."""
     m, d = centers.shape
     ratios = np.linalg.norm(point - centers, axis=1) / radii
     top = np.sort(np.argsort(ratios, kind="stable")[max(m - d - 2, 0):])
     lower, upper = centers.min(axis=0), centers.max(axis=0)
-    value = float(objective(point[None, :])[0])
+    value = float(objective(point[:, None])[0])
     bound = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for size in range(2, min(len(top), d + 1) + 1):
@@ -203,7 +211,7 @@ def _polish(objective, centers, radii, point, unit):
             # that box brings it nearer to every center.
             points = np.clip(points[np.all(np.isfinite(points), axis=1)], lower, upper)
             if len(points):
-                values = objective(points)
+                values = objective(points.T)
                 best = int(np.argmin(values))
                 if values[best] < value:
                     value, point = float(values[best]), points[best]
@@ -227,15 +235,14 @@ def oracle_minimax(M: DiskSystem, cfg: OracleConfig | None = None) -> MinimaxRes
     cfg = cfg or OracleConfig()
     centers, radii = M.centers, M.radii
 
-    def objective(points):
-        diff = points[:, None, :] - centers[None, :, :]
-        return np.max(np.linalg.norm(diff, axis=2) / radii, axis=1)
+    def objective(coords):
+        return np.max(np.sqrt(_squared_distances(coords, centers)) / radii, axis=-1)
 
     lower = centers.min(axis=0)
     upper = centers.max(axis=0)
     if np.all(upper - lower == 0.0):
         point = centers[0].copy()
-        value = float(objective(point[None, :])[0])
+        value = float(objective(point[:, None])[0])
         return MinimaxResult(value, point, 0.0, (value,))
     lipschitz = float(np.max(1.0 / radii))
     value, point, step, history = _grid_refine(objective, lower, upper, cfg, lipschitz)
@@ -303,13 +310,13 @@ def _slice_gap(M: DiskSystem, axis: int, cfg: OracleConfig):
     def phi(t: float) -> float:
         h2 = (t - centers[:, axis]) ** 2
 
-        def objective(points):
-            diff = points[:, None, :] - flat_centers[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2) + h2[None, :])
-            return np.max(dist - radii, axis=1)
-
         if not others:
-            return float(objective(np.zeros((1, 0)))[0])
+            return float(np.max(np.sqrt(h2) - radii))
+
+        def objective(coords):
+            dist = np.sqrt(_squared_distances(coords, flat_centers) + h2)
+            return np.max(dist - radii, axis=-1)
+
         lower = flat_centers.min(axis=0)
         upper = flat_centers.max(axis=0)
         value, _, _, _ = _grid_refine(
@@ -343,7 +350,7 @@ def oracle_aabb(M: DiskSystem, cfg: OracleConfig | None = None) -> Box | None:
         if inner_hi < inner_lo:
             return None
         value, point, _, _ = _grid_refine(
-            lambda ts: np.array([phi(float(t)) for t in ts[:, 0]]),
+            lambda mesh: np.array([phi(float(t)) for t in mesh[0]]),
             [inner_lo], [inner_hi],
             OracleConfig(33, max(cfg.refinement_rounds, 10), cfg.shrink_factor),
             lipschitz=1.0,

@@ -17,6 +17,7 @@ from cechkit import (
     oracle_intersects,
     oracle_minimax,
 )
+from cechkit import oracle
 from cechkit.oracle import _grid_refine
 from conftest import DEGENERATE, lattice_systems, random_system, scalings
 from test_invariance import POWERS
@@ -100,12 +101,80 @@ def test_slack_is_tight_on_generic_systems():
         assert result.slack <= 1e-12 * max(1.0, result.value)
 
 
+def _point_ratios(points, centers, radii):
+    """max_i ||x - c_i|| / r_i at each row x of points, point by point."""
+    return np.max(np.linalg.norm(points[:, None, :] - centers, axis=2) / radii, axis=1)
+
+
+def _point_gaps(points, centers, radii, h2):
+    """max_i (sqrt(||x - c_i||^2 + h_i^2) - r_i) at each row x of points."""
+    diff = points[:, None, :] - centers
+    return np.max(np.sqrt(np.sum(diff * diff, axis=2) + h2) - radii, axis=1)
+
+
+def _grid_objectives(monkeypatch, call):
+    """The objectives that ``call()`` hands to _grid_refine."""
+    seen = []
+
+    def spy(objective, *args, **kwargs):
+        seen.append(objective)
+        return _grid_refine(objective, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_grid_refine", spy)
+        call()
+    return seen
+
+
+def _mesh(lower, upper, n=7):
+    """The open mesh of an n-point grid on the box, and its points in C order."""
+    axes = [np.linspace(a, b, n) for a, b in zip(lower, upper)]
+    points = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return np.ix_(*axes), points
+
+
+GRID_SYSTEMS = [
+    random_system(np.random.default_rng(653), d, m) for d in (1, 2, 3) for m in (1, 3, 6)
+] + [DiskSystem.from_arrays(*DEGENERATE[name]) for name in ("collinear-2d-axis", "collinear-3d-axis")]
+
+
+@pytest.mark.parametrize("M", GRID_SYSTEMS, ids=lambda M: f"d{M.dimension}-m{len(M)}")
+def test_axis_wise_grid_objectives_match_the_point_wise_ones(M, monkeypatch):
+    # k = d axes for the minimax grid, d - 1 for the slices; the collinear
+    # systems give windows of zero width on their constant axes.
+    centers, radii = M.centers, M.radii
+    lower, upper = centers.min(axis=0), centers.max(axis=0)
+    boxes = ((lower - 0.5, upper + 0.5), (lower, upper))
+    for objective in _grid_objectives(monkeypatch, lambda: oracle_minimax(M)):
+        for box in boxes:
+            mesh, points = _mesh(*box)
+            want = _point_ratios(points, centers, radii)
+            assert np.array_equal(objective(mesh).ravel(), want)
+            assert np.array_equal(objective(points.T), want)  # the polish's form
+    for q in range(M.dimension):
+        others = [i for i in range(M.dimension) if i != q]
+        phi = oracle._slice_gap(M, q, oracle.AABB_CONFIG)
+        for t in (float(centers[0, q]), float(np.mean(centers[:, q])) + 0.25):
+            h2 = (t - centers[:, q]) ** 2
+            objectives = _grid_objectives(monkeypatch, lambda: phi(t))
+            if not others:  # d = 1: no grid, the gap at the empty point
+                assert objectives == []
+                assert phi(t) == _point_gaps(np.zeros((1, 0)), centers[:, others], radii, h2)[0]
+                continue
+            for box_lower, box_upper in boxes:
+                mesh, points = _mesh(box_lower[others], box_upper[others])
+                want = _point_gaps(points, centers[:, others], radii, h2)
+                assert np.array_equal(objectives[0](mesh).ravel(), want)
+
+
 def _grid_slack(M, cfg):
     """The Lipschitz slack of the grid refinement alone with config cfg."""
     centers, radii = M.centers, M.radii
 
-    def objective(points):
-        return np.max(np.linalg.norm(points[:, None, :] - centers, axis=2) / radii, axis=1)
+    def objective(mesh):
+        grid = np.broadcast_arrays(*mesh)
+        points = np.stack([x.ravel() for x in grid], axis=1)
+        return _point_ratios(points, centers, radii).reshape(grid[0].shape)
 
     lipschitz = float(np.max(1.0 / radii))
     _, _, step, _ = _grid_refine(objective, centers.min(axis=0), centers.max(axis=0), cfg, lipschitz)
@@ -145,7 +214,7 @@ def test_minimax_memory_in_3d():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**20
 
 
 def test_intersects_examples(tangent_point_system, empty_quad_system):
@@ -186,3 +255,37 @@ def test_oracle_aabb_tangent_point(tangent_point_system):
 
 def test_oracle_aabb_empty(empty_quad_system):
     assert oracle_aabb(empty_quad_system) is None
+
+
+def _one_dimensional_systems():
+    """Seeded 1-d systems and their copies with radii cut to 0.4, some of
+    which have a disjoint pair."""
+    rng = np.random.default_rng(659)
+    systems = [random_system(rng, 1, m) for m in (1, 2, 2, 3, 5, 8)]
+    return systems + [DiskSystem.from_arrays(M.centers, 0.4 * M.radii) for M in systems]
+
+
+def test_minimax_brackets_the_rips_scale_in_1d():
+    # Intervals meet iff they meet pairwise, so in 1-d mu equals nu, the
+    # largest |c_i - c_j| / (r_i + r_j).
+    for M in _one_dimensional_systems():
+        c, r = M.centers[:, 0], M.radii
+        nu = float(np.max(np.abs(c[:, None] - c) / (r[:, None] + r)))
+        result = oracle_minimax(M)
+        assert result.value - result.slack <= nu <= result.value + result.slack, (result, nu)
+
+
+def test_oracle_aabb_is_the_common_interval_in_1d():
+    # phi(t) = max_i (|t - c_i| - r_i) is at least t's distance to the
+    # common interval [L, U], so each bisected end is within bisect_tol of
+    # it inside and within accept <= 2 feas_eps outside.
+    for M in _one_dimensional_systems():
+        c, r = M.centers[:, 0], M.radii
+        lo, hi = float(np.max(c - r)), float(np.min(c + r))
+        box = oracle_aabb(M)
+        if hi < lo:
+            assert box is None
+            continue
+        scale = 1.0 + float(np.max(r)) + float(np.ptp(c))
+        bisect_tol, feas_eps = 1e-6 * scale, 1e-8 * scale  # oracle_aabb's own
+        np.testing.assert_allclose(box.intervals, [[lo, hi]], rtol=0, atol=bisect_tol + 2 * feas_eps)
