@@ -87,14 +87,15 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
 def pole_envelope(blocks, d: int) -> Box | None:
     """The box of :func:`aabb_minimal` from :func:`pole_walk` blocks.
 
-    Its degeneracy warning says that a subset with affinely dependent
-    centers was skipped, or that an axis bound had no retained pole."""
+    Its degeneracy warning says that the walk skipped a subset in doubt
+    (:func:`cechkit.geometry.gram_rows`), or that an axis bound had no
+    retained pole."""
     axes = np.arange(d)
     lows, highs = np.full(d, np.inf), np.full(d, -np.inf)
     kept_min, kept_max = np.full(d, np.inf), np.full(d, -np.inf)
     warn = False
-    for _, _, points, inside, deficient in blocks:
-        warn = warn or bool(deficient.any())
+    for _, _, points, inside, doubtful in blocks:
+        warn = warn or doubtful
         kept = points.reshape(-1, d)[inside]
         if not len(kept):
             continue

@@ -74,23 +74,23 @@ def candidate_poles(engine: PoleEngine, M: DiskSystem):
     """Every pole candidate of ``engine``, tested against M (whose centers
     are the engine's).
 
-    Yields one block ``(subsets, index, points, inside, deficient)`` per
+    Yields one block ``(subsets, index, points, inside, doubtful)`` per
     subset size, in canonical order: subset size ascending, subsets
     lexicographic, axes ascending, south before north.  ``subsets`` holds
     all C(m, j) index rows of the size; ``index`` picks the n rows that
     yield candidates, ``points`` (n, 2d, d) are their candidates and
     ``inside`` the flat mask of those contained in every disk of M;
-    ``deficient`` marks the rows skipped for their affinely dependent
-    centers.  A single-point boundary intersection contributes its point
-    for every axis and orientation.  Subset size is capped at min(m, d+1):
-    larger boundary intersections are generically empty and Helly's
-    theorem covers decision completeness.
+    ``doubtful`` says that a row was skipped in doubt
+    (:func:`cechkit.geometry.gram_rows`).  A single-point boundary
+    intersection contributes its point for every axis and orientation.
+    Subset size is capped at min(m, d+1): larger boundary intersections are
+    generically empty and Helly's theorem covers decision completeness.
     """
     d = engine.dimension
     for j in range(1, engine.max_size + 1):
-        index, points, deficient = engine.block(j, M.radii)
+        rows, index, points, doubtful = engine.block(j, M.radii)
         inside = contains_all_batch(M, points.reshape(-1, d), engine.tol)
-        yield engine.subsets(j), index, points, inside, deficient
+        yield rows, index, points, inside, doubtful
 
 
 def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
@@ -109,17 +109,16 @@ def _first_witness(blocks):
     order, contained in every disk.
 
     Returns ``(subset, witness, warn)``, with subset and witness None when
-    there is none.  ``warn`` says that a subset with affinely dependent
-    centers was skipped before the witness, or anywhere when there is none.
+    there is none, and ``warn`` then says that the walk skipped a subset in
+    doubt.  A witness passed containment in every disk: it never warns.
     """
     warn = False
-    for subsets, index, points, inside, deficient in blocks:
+    for subsets, index, points, inside, doubtful in blocks:
         hits = np.flatnonzero(inside)
         if hits.size:
             _, width, d = points.shape
-            row = index[hits[0] // width]
-            return subsets[row], points.reshape(-1, d)[hits[0]].copy(), warn or bool(deficient[:row].any())
-        warn = warn or bool(deficient.any())
+            return subsets[index[hits[0] // width]], points.reshape(-1, d)[hits[0]].copy(), False
+        warn = warn or doubtful
     return None, None, warn
 
 
@@ -129,21 +128,17 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     Enumerates the poles of every i-sphere arising from boundary
     intersections of up to min(m, d+1) disks; the first pole contained in
     all m disks is the witness.  Single-point boundary intersections are
-    their own witness candidates.  A disjoint pair decides FALSE before any
-    enumeration, with no warning.  So does a certificate
-    (:func:`certified_empty`), whose warning is the one the full FALSE walk
-    gives: whether some subset of up to d+1 disks has dependent centers.
+    their own witness candidates.  A disjoint pair or a certificate decides
+    FALSE before any enumeration, with no warning (:func:`pole_walk`); a
+    FALSE walk warns when it skipped a subset in doubt (:func:`_first_witness`).
     """
     check_tol(tol)
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
-    if disjoint_pair(M, tol):
-        return CechDecision(False)
-    engine = PoleEngine(M.centers, tol=tol)
-    subset, witness, warn = _first_witness(() if certified_empty(M, tol) else candidate_poles(engine, M))
+    subset, witness, warn = _first_witness(pole_walk(M, tol))
     if subset is None:
-        return CechDecision(False, degeneracy_warning=engine.dependent())
-    return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset), degeneracy_warning=warn)
+        return CechDecision(False, degeneracy_warning=warn)
+    return CechDecision(True, witness=witness, generating_subset=tuple(int(i) for i in subset))
 
 
 def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> ScaleReport:
@@ -154,8 +149,7 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     where nu = 0); otherwise the bracket [nu, sqrt(2d/(d+1)) nu] is halved
     while it is wider than eta and has a float strictly inside, and the
     upper endpoint is returned: a certified scale at which the rescaled
-    system intersects, with ``witness`` a point of it.  The degeneracy
-    warning covers every decision made.
+    system intersects, with ``witness`` a point of it.
 
     The bisection is replayed from the exact scale mu of :func:`cech_basis`
     (the search :func:`certified_empty` runs): a midpoint above mu is
@@ -164,8 +158,8 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     then walk TRUE; decisions are monotone in the scale, so it vouches for
     every replayed step and the report is that of the bisection that
     decides every step, which runs instead when it fails, for any mu.
-    Once nu is FALSE the warning is whether some subset has dependent
-    centers: a FALSE walk visits them all, any other walk only some.
+    The upper end carries a witness, so the report warns only when a walk
+    decided the lower end FALSE and skipped a subset in doubt.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta}")
@@ -184,9 +178,8 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
         def decide(lam):
             return _first_witness(() if certifies(lam) else candidate_poles(engine, rescale(M, lam)))
 
-        _, witness, warn = decide(nu)
+        witness = decide(nu)[1]
         if witness is None:
-            warn = engine.dependent()
             for replay in (True, False):
                 lo, hi, iterations = nu, jung_factor(M.dimension) * nu, 0
                 while hi - lo > eta:
@@ -201,6 +194,7 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
                 witness = decide(hi)[1]
                 if witness is not None:
                     break
+        warn = decide(lo)[2]
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness=witness, degeneracy_warning=warn)
 
 
@@ -288,7 +282,7 @@ def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np
     # no center overflows) leaves every later rounding unchanged.
     unit = 2.0 ** max(math.frexp(span(centers, radii))[1], 0)
     centers, radii = centers / unit, radii / unit
-    members, normals, gram, full = gram_rows(centers, rows)
+    members, normals, gram, full, _ = gram_rows(centers, rows)
     sq = radii[rows] ** 2
     # Columns: the constant part and the t-coefficient of the right-hand side.
     rhs = 0.5 * np.stack([np.sum(normals**2, axis=2), sq[:, -1:] - sq[:, :-1]], axis=2)

@@ -148,11 +148,8 @@ def _run(compute, args) -> int:
         print(json.dumps({"schema": SCHEMA, "command": args.command, **payload}, allow_nan=False)
               if args.format == "json" else text)
     if degenerate:
-        print(
-            "warning: degenerate configuration: skipped disk subsets with affinely dependent centers"
-            " (or, for a box, a bound with no pole of its own)",
-            file=sys.stderr,
-        )
+        print("warning: degenerate configuration: skipped a disk subset whose centers are nearly affinely"
+              " dependent, beyond rounding (or, for a box, a bound with no pole of its own)", file=sys.stderr)
         if args.strict:
             return EXIT_DEGENERATE
     return EXIT_NEGATIVE if negative else EXIT_OK
@@ -301,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--strict", action="store_true",
-        help="exit 3 on a degeneracy warning: the walk skipped a disk subset with affinely dependent "
-        "centers before its answer (or, for aabb, a box bound had no pole of its own)",
+        help="exit 3 on a degeneracy warning: the walk behind a FALSE answer or a box skipped a disk subset whose "
+        "centers are nearly affinely dependent, beyond rounding (or a box bound had no pole of its own)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -305,35 +305,40 @@ def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFA
 # ---------------------------------------------------------------------------
 
 
-def _rank_deficient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rank_deficient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank test of one Gram matrix or of a stack of them.
 
-    Returns ``(deficient, rank)`` per matrix: a matrix is deficient when its
-    largest singular value is below the smallest normal float (it is zero,
-    or its squared lengths lost their precision and its inverse overflows;
-    rank 0) or its smallest singular value is at most 1e-12 of its largest.
-    A k x k Gram matrix G is positive semidefinite, so sigma_min / sigma_max
-    >= det G / tr(G)^k; det(G / tr G) > 1e-9 settles full rank with a margin
-    of 1e3 over the cutoff and over the rounding of LU when tr G is normal,
-    and only the other matrices take the SVD.
+    Returns ``(deficient, rank, ratio)`` per matrix: a matrix is deficient
+    when its largest singular value is below the smallest normal float (it
+    is zero, or its squared lengths lost their precision and its inverse
+    overflows; rank 0) or its smallest singular value is at most 1e-12 of
+    its largest.  ``ratio`` is the computed sigma_min / sigma_max of each
+    matrix that takes the SVD, 1 for the others, and below the smallest
+    normal float 0 for a zero matrix and NaN for any other.  G is positive
+    semidefinite, so sigma_min / sigma_max >= det G / tr(G)^k for k x k G;
+    det(G / tr G) > 1e-9 settles full rank with a margin of 1e3 over the
+    cutoff and over the rounding of LU when tr G is normal, and only the
+    other matrices take the SVD.
     """
     trace = np.trace(gram, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        doubt = ~(np.linalg.det(gram / trace[..., None, None]) > 1e-9)
-    doubt |= (trace < sys.float_info.min) & (gram.shape[-1] > 0)  # no normals: full rank 0
-    deficient, rank = np.zeros(doubt.shape, dtype=bool), np.full(doubt.shape, gram.shape[-1])
-    if doubt.any():
-        sv = np.linalg.svd(gram[doubt], compute_uv=False)
+        unsettled = ~(np.linalg.det(gram / trace[..., None, None]) > 1e-9)
+    unsettled |= (trace < sys.float_info.min) & (gram.shape[-1] > 0)  # no normals: full rank 0
+    deficient, rank = np.zeros(unsettled.shape, dtype=bool), np.full(unsettled.shape, gram.shape[-1])
+    ratio = np.ones(unsettled.shape)
+    if unsettled.any():
+        sv = np.linalg.svd(gram[unsettled], compute_uv=False)
         top = sv[..., 0]
         small = top < sys.float_info.min
-        deficient[doubt] = small | (sv[..., -1] <= 1e-12 * top)
-        rank[doubt] = np.where(small, 0, np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1))
-    return deficient, rank
+        deficient[unsettled] = small | (sv[..., -1] <= 1e-12 * top)
+        rank[unsettled] = np.where(small, 0, np.sum(sv > 1e-12 * np.maximum(top, 1e-300)[..., None], axis=-1))
+        ratio[unsettled] = np.where(small, np.where(top > 0.0, np.nan, 0.0), sv[..., -1] / np.where(small, 1.0, top))
+    return deficient, rank, ratio
 
 
 def _require_full_rank(gram: np.ndarray, message: str) -> None:
     """Raise DegenerateConfiguration (``message`` may use ``{rank}``)."""
-    deficient, rank = _rank_deficient(gram)
+    deficient, rank, _ = _rank_deficient(gram)
     if deficient:
         raise DegenerateConfiguration(message.format(rank=int(rank)), rank=int(rank))
 
@@ -471,17 +476,17 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
 
 @dataclass(frozen=True)
 class _SizeBatch:
-    """Radius-free data of the j-subsets (j >= 2) of an engine's disks.
-
-    ``rows`` lists the C(m, j) subsets; ``deficient`` marks those with
-    affinely dependent centers, whose other fields hold placeholders.
+    """Radius-free data of the j-subsets (j >= 2) of an engine's disks:
+    ``rows`` lists the C(m, j) subsets, ``deficient`` marks those with
+    affinely dependent centers (placeholders in the other fields),
+    ``doubtful`` says that one of them is in doubt (:func:`gram_rows`), and
     ``offsets[s, 2q]`` and ``offsets[s, 2q + 1]`` are the unit steps from
     the center to the e_q-south and e_q-north poles (None when j = d+1,
-    which yields points only).
-    """
+    which yields points only)."""
 
     rows: np.ndarray
     deficient: np.ndarray
+    doubtful: bool
     members: np.ndarray
     normals: np.ndarray
     gram: np.ndarray
@@ -499,16 +504,30 @@ def gram_rows(centers: np.ndarray, rows: np.ndarray):
     """Members, normals and Gram matrices of an (N, j) array of index rows.
 
     Normals are taken against the last member, as in
-    :func:`reduce_sphere_system`.  Returns ``(members, normals, gram,
-    full)``; ``full`` marks the full-rank Gram matrices, and the others are
-    replaced by identities so that batched solves stay defined.
+    :func:`reduce_sphere_system`.  Returns ``(members, normals, gram, full,
+    doubtful)``; ``full`` marks the full-rank Gram matrices, and the others
+    are replaced by identities so that batched solves stay defined.  A
+    deficient row is ``doubtful`` when rounding cannot explain its rank
+    test: its ratio exceeds the floor below, or is NaN.
     """
     members = centers[rows]
     normals = members[:, :-1] - members[:, -1:]
     gram = normals @ normals.transpose(0, 2, 1)
-    full = ~_rank_deficient(gram)[0]
-    gram[~full] = np.eye(rows.shape[1] - 1)
-    return members, normals, gram, full
+    deficient, _, ratio = _rank_deficient(gram)
+    # The floor K u (u = 2^-53) bounds the computed ratio of k exactly
+    # dependent normals in R^d, with s = ||G-hat||_2 >= 2^-1022 and T =
+    # ||N-hat||_F^2 <= k s (1 + d u) / (1 - gamma_d), to first order in u:
+    # 1. each normal rounds once, which moves lambda_min by u^2 T at most;
+    # 2. each Gram entry sums d products: off by gamma_d ||n_a|| ||n_b||, and
+    #    u 2^-1022 <= u s per product that underflows, sigma_min moves by at
+    #    most gamma_d T + k d u s <= 2 k d u s (Weyl);
+    # 3. LAPACK's SVD is exact for G-hat + delta, ||delta||_2 <= 2 k^2 u s:
+    #    2k Householder reflections, each backward stable to about k u.
+    # So K = 2 k d + 2 k^2 + 1, whose 1 holds the second-order terms.
+    k, d = normals.shape[1:]
+    doubtful = deficient & ~(ratio <= (2 * k * d + 2 * k * k + 1) * 2.0**-53)
+    gram[deficient] = np.eye(k)
+    return members, normals, gram, ~deficient, doubtful
 
 
 class PoleEngine:
@@ -523,6 +542,7 @@ class PoleEngine:
     extra sphere equation is linear in the point and either implied by, or
     inconsistent with, those of a maximal independent subset, so its
     boundary intersection is empty or that of a subset enumerated anyway.
+    Only a skip in doubt (:func:`gram_rows`) can lose a candidate.
     """
 
     def __init__(self, centers: np.ndarray, tol: float = DEFAULT_TOL):
@@ -531,17 +551,7 @@ class PoleEngine:
         self.dimension = d
         self.max_size = min(m, d + 1)
         self.tol = tol
-        self._singles = np.arange(m)[:, None]
         self._sizes: dict[int, _SizeBatch] = {}
-
-    def subsets(self, j: int) -> np.ndarray:
-        """The (C(m, j), j) index rows of the size-j subsets."""
-        return self._size(j).rows if j > 1 else self._singles
-
-    def dependent(self) -> bool:
-        """Whether some subset of 2 to max_size disks has affinely dependent
-        centers: the warning of a walk that finds no candidate."""
-        return any(self._size(j).deficient.any() for j in range(2, self.max_size + 1))
 
     def _size(self, j: int) -> _SizeBatch:
         batch = self._sizes.get(j)
@@ -552,7 +562,7 @@ class PoleEngine:
     def _prepare(self, rows: np.ndarray) -> _SizeBatch:
         """Radius-free data of an (N, j) array of disk index rows."""
         d, j = self.dimension, rows.shape[1]
-        members, normals, gram, full = gram_rows(self.centers, rows)
+        members, normals, gram, full, doubtful = gram_rows(self.centers, rows)
         offsets = None
         if j <= d:
             # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
@@ -568,23 +578,16 @@ class PoleEngine:
             if len(s):
                 offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
             offsets = offsets.reshape(-1, 2 * d, d)
-        return _SizeBatch(
-            rows=rows,
-            deficient=~full,
-            members=members,
-            normals=normals,
-            gram=gram,
-            sq_norms=np.sum(normals**2, axis=2),
-            offsets=offsets,
-        )
+        return _SizeBatch(rows=rows, deficient=~full, doubtful=bool(doubtful.any()), members=members, normals=normals,
+                          gram=gram, sq_norms=np.sum(normals**2, axis=2), offsets=offsets)
 
     def block(self, j: int, radii: np.ndarray):
         """Candidates of the size-j subsets for the (m,) ``radii``.
 
-        Returns ``(index, points, deficient)``: the ascending indices into
-        :meth:`subsets` of the subsets that yield candidates, their (n, 2d,
-        d) points, and the (C(m, j),) mask of the subsets skipped for their
-        affinely dependent centers.
+        Returns ``(rows, index, points, doubtful)``: the (C(m, j), j) index
+        rows of the size, the ascending indices into them of the subsets that
+        yield candidates, their (n, 2d, d) points, and whether a subset was
+        skipped in doubt (:func:`gram_rows`).
         """
         d, tol = self.dimension, self.tol
         if j == 1:
@@ -593,7 +596,8 @@ class PoleEngine:
             axes = np.arange(d)
             points[:, axes, 0, axes] -= radii[:, None]
             points[:, axes, 1, axes] += radii[:, None]
-            return np.arange(len(points)), points.reshape(-1, 2 * d, d), np.zeros(len(points), dtype=bool)
+            index = np.arange(len(points))
+            return index[:, None], index, points.reshape(-1, 2 * d, d), False
         batch = self._size(j)
         full, members, normals = ~batch.deficient, batch.members, batch.normals
         rad = radii[batch.rows]
@@ -613,6 +617,6 @@ class PoleEngine:
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
         if sphere.any():
             points[sphere[index]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * batch.offsets[sphere]
-        return index, points, batch.deficient
+        return batch.rows, index, points, batch.doubtful
 
 

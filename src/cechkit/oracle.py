@@ -75,7 +75,8 @@ def _grid_refine(
 
     With ``target_step`` set, refinement continues past the configured
     round count until the largest per-axis step drops below it (bounded by
-    ``max_rounds``).
+    ``max_rounds``), or until a round leaves its window unchanged: every
+    later round would repeat it, grid, values and all.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -111,8 +112,10 @@ def _grid_refine(
         mid = 0.5 * (new_lo + new_hi)
         new_lo = np.minimum(new_lo, mid - 0.5 * floor)
         new_hi = np.maximum(new_hi, mid + 0.5 * floor)
-        lo = np.maximum(new_lo, lower)
-        hi = np.minimum(new_hi, upper)
+        new_lo, new_hi = np.maximum(new_lo, lower), np.minimum(new_hi, upper)
+        if target_step is not None and np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
         step = (hi - lo) / max(n - 1, 1)
     return best_value, best_point, step, tuple(history)
 

@@ -32,6 +32,38 @@ DEGENERATE = {
 }
 
 
+# Near-dependent systems: ``(centers, radii, i, q)`` with center i to be
+# moved by eps along axis q, off the line or plane of a collinear triple or
+# a coplanar quadruple.  "hollow-2d-edge" is a hollow triangle with a
+# fourth disk on an edge: its Cech scale lies above its Rips scale, so its
+# bisection walks FALSE steps.
+NEAR_DEPENDENT = {
+    **{name: (*DEGENERATE[name], i, q) for name, i, q in (
+        ("collinear-2d-diagonal", 1, 1), ("collinear-2d-extra", 1, 1), ("collinear-3d-skew", 1, 0),
+        ("coplanar-3d", 3, 2), ("coplanar-3d-tilted", 3, 2))},
+    "hollow-2d-edge": ([[0, 0], [1, 0], [0.5, 0.866], [0.5, 0]], [0.55] * 4, 3, 1),
+}
+# Below 1e-8 a moved triple's Gram ratio stays at the level of rounding;
+# from 3e-7 it lies above the doubt floor; from about 5e-6 it passes the
+# 1e-12 rank cutoff.
+NEAR_EPSILONS = (1e-14, 1e-12, 1e-10, 1e-8, 3e-7, 1e-6, 3e-6)
+
+
+def near_dependent(name, eps):
+    """The NEAR_DEPENDENT system ``name`` with its center moved by eps."""
+    centers, radii, i, q = NEAR_DEPENDENT[name]
+    centers = np.array(centers, dtype=float)
+    centers[i, q] += eps
+    return DiskSystem.from_arrays(centers, radii)
+
+
+def near_dependent_systems():
+    """``(name, eps, system)`` for every NEAR_DEPENDENT system and eps."""
+    for name in sorted(NEAR_DEPENDENT):
+        for eps in NEAR_EPSILONS:
+            yield name, eps, near_dependent(name, eps)
+
+
 # Lattice systems: centers in {0, 1, 2}^d, so many subsets are collinear,
 # coplanar or repeat a center.
 LATTICE_SEED = 7002

@@ -26,9 +26,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cechkit import DiskSystem, rescale, rips_scale  # noqa: E402
 from cechkit.cli import main  # noqa: E402
-from conftest import DEGENERATE, lattice_systems  # noqa: E402
+from conftest import DEGENERATE, NEAR_DEPENDENT, lattice_systems, near_dependent  # noqa: E402
 
 SEED = 7001
+NEAR_EPS = 1e-6
 FACTORS = (0.95, 1.05, 1.3)
 SIZES = (3, 4, 6, 9, 12, 16)
 
@@ -47,8 +48,10 @@ def systems():
         nu = rips_scale(base)
         for factor in FACTORS:
             yield f"{name}-x{factor}", rescale(base, factor * nu), factor != 1.05
-    for name in sorted(DEGENERATE):
-        base = DiskSystem.from_arrays(*DEGENERATE[name])
+    bases = [(name, DiskSystem.from_arrays(*DEGENERATE[name])) for name in sorted(DEGENERATE)]
+    # Centers moved 1e-6 off a line or plane: boxes that skip in doubt.
+    bases += [(f"{name}+{NEAR_EPS:g}", near_dependent(name, NEAR_EPS)) for name in sorted(NEAR_DEPENDENT)]
+    for name, base in bases:
         nu = rips_scale(base)
         yield name, base, False
         for factor in FACTORS:

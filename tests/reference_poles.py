@@ -3,7 +3,8 @@
 One :func:`reduce_sphere_system` call per subset, then :func:`poles_general`
 per axis for spheres, one :class:`Pole` per candidate and one
 :func:`contains_all_batch` call per subset.  A subset with affinely dependent
-centers (:class:`DegenerateConfiguration`) yields no pole and is flagged.
+centers (:class:`DegenerateConfiguration`) yields no pole, and is flagged when
+its skip is in doubt (:func:`doubtful`).
 Its consumers below keep the semantics of the package's decision, minimal box
 and SVG picture, and of the filtration before its subsystems were bisected in
 lockstep.  The loop forms of :func:`cechkit.geometry.preprocess` and
@@ -12,6 +13,7 @@ subset enumeration of the exact Cech scale.
 """
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -43,9 +45,23 @@ from cechkit.geometry import (
 from cechkit.cech import subset_roots
 
 
+def doubtful(M, subset):
+    """Whether the skip of a subset with affinely dependent centers is in
+    doubt: the plain SVD of its Gram matrix has a singular-value ratio above
+    (2kd + 2k^2 + 1) 2^-53 for k normals in R^d, the most that rounding gives
+    exactly dependent centers, or the matrix is nonzero below the smallest
+    normal float."""
+    normals = M.centers[list(subset[:-1])] - M.centers[subset[-1]]
+    (k, d), sv = normals.shape, np.linalg.svd(normals @ normals.T, compute_uv=False)
+    if sv[0] < sys.float_info.min:
+        return bool(sv[0] > 0.0)
+    return bool(sv[-1] / sv[0] > (2 * k * d + 2 * k * k + 1) * 2.0**-53)
+
+
 def candidate_poles(M, tol=DEFAULT_TOL):
-    """Yield ``(subset, poles, dependent)`` per subset in canonical order;
-    ``dependent`` flags a subset skipped for its affinely dependent centers."""
+    """Yield ``(subset, poles, doubtful)`` per subset in canonical order;
+    ``doubtful`` flags a subset skipped in doubt for its affinely dependent
+    centers."""
     m, d = len(M), M.dimension
     for i in range(m):
         entries = []
@@ -57,7 +73,7 @@ def candidate_poles(M, tol=DEFAULT_TOL):
             try:
                 kind = reduce_sphere_system(M.subsystem(subset), tol)
             except DegenerateConfiguration:
-                yield subset, [], True
+                yield subset, [], doubtful(M, subset)
                 continue
             if isinstance(kind, EmptyIntersection):
                 continue
@@ -98,34 +114,37 @@ def disjoint_pair(M, tol=DEFAULT_TOL):
 
 
 def is_cech_system(M, tol=DEFAULT_TOL):
-    """The decision: the first retained pole in canonical order.  The warning
-    says that a dependent subset came before the witness (anywhere when
-    FALSE); a disjoint pair decides FALSE with nothing walked."""
+    """The decision: the first retained pole in canonical order.  A FALSE
+    walk warns when it skipped a subset in doubt, and a TRUE one never; a
+    disjoint pair decides FALSE with nothing walked.  Every other FALSE
+    decision walks here, where the package may certify it unwalked, so the
+    two warnings agree on systems without a doubtful subset."""
     if len(M) == 1:
         return CechDecision(True, witness=M.centers[0].copy(), generating_subset=(0,))
     if disjoint_pair(M, tol):
         return CechDecision(False)
     warn = False
-    for subset, entries, dependent in candidate_poles(M, tol):
-        warn = warn or dependent
+    for subset, entries, doubt in candidate_poles(M, tol):
+        warn = warn or doubt
         if not entries:
             continue
         points = np.array([p.point for p in entries])
         hit = np.flatnonzero(contains_all_batch(M, points, tol))
         if hit.size:
-            return CechDecision(True, entries[int(hit[0])].point, subset, warn)
+            return CechDecision(True, entries[int(hit[0])].point, subset)
     return CechDecision(False, degeneracy_warning=warn)
 
 
 def cech_scale(M, eta=1e-6, tol=DEFAULT_TOL, decide=is_cech_system):
     """The bisection of :func:`cechkit.cech_scale`, deciding each step with
-    ``decide(rescale(M, lam), tol)`` on a freshly rescaled system."""
+    ``decide(rescale(M, lam), tol)`` on a freshly rescaled system.  Its
+    warning is that of the FALSE decision of its lower end."""
     nu = rips_scale(M)
     if nu == 0.0:
         return ScaleReport(0.0, 0.0, eta, (0.0, 0.0), 0, witness=M.centers[0].copy())
     decision = decide(rescale(M, nu), tol)
     if decision.is_cech:
-        return ScaleReport(nu, nu, eta, (nu, nu), 0, decision.witness, decision.degeneracy_warning)
+        return ScaleReport(nu, nu, eta, (nu, nu), 0, decision.witness)
     lo, hi = nu, jung_factor(M.dimension) * nu
     witness = None
     warn = decision.degeneracy_warning
@@ -135,17 +154,15 @@ def cech_scale(M, eta=1e-6, tol=DEFAULT_TOL, decide=is_cech_system):
         if not lo < mid < hi:  # adjacent floats: eta is below their spacing
             break
         decision = decide(rescale(M, mid), tol)
-        warn = warn or decision.degeneracy_warning
         iterations += 1
         if decision.is_cech:
             hi = mid
             witness = decision.witness
         else:
             lo = mid
+            warn = decision.degeneracy_warning
     if witness is None:
-        decision = decide(rescale(M, hi), tol)
-        warn = warn or decision.degeneracy_warning
-        witness = decision.witness
+        witness = decide(rescale(M, hi), tol).witness
     return ScaleReport(nu, hi, eta, (lo, hi), iterations, witness, warn)
 
 
@@ -203,8 +220,8 @@ def aabb_minimal(M, tol=DEFAULT_TOL):
     highs = [[] for _ in range(d)]
     all_points = []
     warn = False
-    for _, entries, dependent in candidate_poles(M, tol):
-        warn = warn or dependent
+    for _, entries, doubt in candidate_poles(M, tol):
+        warn = warn or doubt
         if not entries:
             continue
         points = np.array([p.point for p in entries])

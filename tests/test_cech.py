@@ -1,6 +1,7 @@
 """Rips scale, Cech-system decision and Cech-scale bisection."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,9 @@ from cechkit import (
     rescale,
     rips_scale,
 )
+from cechkit.cech import certified_empty
 from cechkit.cli import render_svg
+from cechkit.geometry import disjoint_pair
 from cechkit.oracle import oracle_minimax
 from conftest import DEGENERATE, assert_in_bracket, lattice_systems, random_system, scalings
 
@@ -275,3 +278,34 @@ def test_decision_matches_oracle_on_lattice_systems(name):
     M = LATTICE[name]
     M = rescale(M, 1.05 * rips_scale(M))
     assert is_cech_system(M).is_cech == _oracle_decision(M)
+
+
+# ---------------------------------------------------------------------------
+# Memory of FALSE answers
+# ---------------------------------------------------------------------------
+
+
+def _peak(f):
+    """Peak traced memory of calling f, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_false_answers_build_no_subset_stack():
+    # d = 3, m = 48, no disjoint pair at 0.999 of the exact scale: a
+    # certified FALSE check walks nothing, and cech_scale walks only its
+    # upper end, one C(48, 4) = 194,580-row stack without pole directions.
+    # A scan of every subset for the warning alone took 78 MB in each.
+    rng = np.random.default_rng(5)
+    while True:
+        M = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (48, 3)), rng.uniform(0.9, 1.1, 48))
+        N = rescale(M, 0.999 * exact_cech_scale(M))
+        if not disjoint_pair(N):
+            break
+    assert certified_empty(N)
+    assert _peak(lambda: is_cech_system(N)) < 2**20
+    assert _peak(lambda: cech_scale(M)) < 24 * 2**20

@@ -23,7 +23,8 @@ from cechkit.cli import (
     parse_disk_system,
     serialize_disk_system,
 )
-from conftest import random_system
+from cechkit import DEFAULT_TOL, exact_cech_scale, rescale, rips_scale
+from conftest import near_dependent, random_system
 
 EXAMPLE_43_CSV = "4,1,0,1.4142135623730951\n4,-1,0,1.4142135623730951\n0,0,0,3\n"
 EXAMPLE_44_CSV = (
@@ -394,30 +395,37 @@ def test_json_output_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch):
     assert out == "" and err.startswith("error: ")
 
 
-def test_strict_escalates_degenerate(tmp_path, capsys):
+def test_strict_escalates_only_doubtful_skips(tmp_path, capsys):
     warning = (
-        "warning: degenerate configuration: skipped disk subsets with affinely dependent centers"
-        " (or, for a box, a bound with no pole of its own)\n"
+        "warning: degenerate configuration: skipped a disk subset whose centers are nearly affinely"
+        " dependent, beyond rounding (or, for a box, a bound with no pole of its own)\n"
     )
-    # Disks 0 and 1 are concentric: pair (0, 1) is skipped before the witness
-    # of pair (0, 2).  Four disks around a hollow triangle, with disk 3 on
-    # the segment of disks 0 and 1: FALSE, after skipping triple (0, 1, 3).
-    for name, text, answer in (
-        ("concentric", "0,0,1\n0,0,1.5\n1.2727922061357855,1.2727922061357855,1\n", EXIT_OK),
-        ("hollow", "0,0,0.55\n1,0,0.55\n0.5,0.866,0.55\n0.5,0,0.55\n", EXIT_NEGATIVE),
+    # Skips of exactly dependent centers warn nowhere.  Disks 0 and 1 are
+    # concentric: pair (0, 1) is skipped before the witness of pair (0, 2).
+    # Four disks around a hollow triangle, with disk 3 on the segment of
+    # disks 0 and 1: FALSE, after skipping triple (0, 1, 3).  Three
+    # collinear unit disks: TRUE, and the box skips the triple.
+    for name, text, command, answer in (
+        ("concentric", "0,0,1\n0,0,1.5\n1.2727922061357855,1.2727922061357855,1\n", "check", EXIT_OK),
+        ("hollow", "0,0,0.55\n1,0,0.55\n0.5,0.866,0.55\n0.5,0,0.55\n", "check", EXIT_NEGATIVE),
+        ("col", "0,0,1\n1,0,1\n2,0,1\n", "aabb", EXIT_OK),
     ):
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
-        assert main(["check", str(path)]) == answer, name
-        assert capsys.readouterr().err == warning, name
-        assert main(["check", str(path), "--strict"]) == EXIT_DEGENERATE, name
-        assert capsys.readouterr().err == warning, name
-    # Three collinear unit disks: disk 0's pole (1, 0) is the witness, and
-    # the dependent triple comes after it.
-    path = tmp_path / "col.csv"
-    path.write_text("0,0,1\n1,0,1\n2,0,1\n")
-    assert main(["check", str(path), "--strict"]) == EXIT_OK
-    assert capsys.readouterr().err == ""
+        assert main([command, str(path), "--strict"]) == answer, name
+        assert capsys.readouterr().err == "", name
+    # Disk 3 moved 3e-7 off that segment: triple (0, 1, 3) is skipped in
+    # doubt.  The box warns, and so does the FALSE check just beyond the
+    # containment reach of the exact scale, which a walk decides.
+    M = near_dependent("hollow-2d-edge", 3e-7)
+    walked = exact_cech_scale(M) / ((1.0 + DEFAULT_TOL) * (1.0 + 5e-13))
+    for command, lam, answer in (("aabb", 1.3 * rips_scale(M), EXIT_OK), ("check", walked, EXIT_NEGATIVE)):
+        path = tmp_path / f"{command}.csv"
+        path.write_text(serialize_disk_system(rescale(M, lam)))
+        assert main([command, str(path)]) == answer, command
+        assert capsys.readouterr().err == warning, command
+        assert main([command, str(path), "--strict"]) == EXIT_DEGENERATE, command
+        assert capsys.readouterr().err == warning, command
 
 
 def test_input_format_override(tmp_path, capsys):

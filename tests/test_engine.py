@@ -1,7 +1,9 @@
 """Batched pole engine against the per-subset reference enumeration, and
 exact scales against the brackets of bisection."""
 
-from itertools import combinations
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import cechkit.cech
 import reference_poles as ref
 from cechkit import (
     DEFAULT_TOL,
-    CechDecision,
     DiskSystem,
     aabb_minimal,
     build_filtration,
@@ -22,10 +23,10 @@ from cechkit import (
     rips_scale,
 )
 from cechkit.cech import candidate_poles
-from cechkit.cli import render_svg
-from cechkit.geometry import CONTAINS_CHUNK, PoleEngine
-from conftest import (DEGENERATE, FACTORS, assert_in_bracket, hollow_simplex_system, lattice_systems, random_system,
-                      scale_reach, scalings)
+from cechkit.cli import parse_disk_system, render_svg
+from cechkit.geometry import CONTAINS_CHUNK, PoleEngine, combination_rows, gram_rows
+from conftest import (DEGENERATE, FACTORS, NEAR_DEPENDENT, NEAR_EPSILONS, assert_in_bracket, hollow_simplex_system,
+                      lattice_systems, near_dependent, near_dependent_systems, random_system, scale_reach, scalings)
 
 # Witnesses and box bounds come from reordered float arithmetic (batched
 # matrix products, axis reductions), so they agree to rounding, not bits.
@@ -102,7 +103,9 @@ def test_engine_classifies_each_subset_with_its_own_span(gap):
 def test_pair_too_close_to_square_is_dependent():
     # Centers 7.8e-162 apart: their squared distance, the pair's Gram
     # matrix, is subnormal and its inverse overflows, so the pair counts as
-    # dependent, as coincident centers do.  The lens of disks 0 and 2 is
+    # dependent, as coincident centers do.  Its skip is in doubt: the matrix
+    # lost its precision, so its ratio says nothing, and a nonzero one is
+    # not of equal centers.  So the box warns.  The lens of disks 0 and 2 is
     # still the box, with or without a duplicate disk.
     M = DiskSystem.from_arrays([[1.0, 0.0], [7.76562464e-162, 0.0], [0.0, 0.0]], [1.0, 1.0, 1.0])
     for N in (M, M.subsystem([0, 1, 2, 0])):
@@ -113,22 +116,35 @@ def test_pair_too_close_to_square_is_dependent():
         np.testing.assert_allclose(box.intervals, [[0.0, 1.0], [-half, half]], rtol=0.0, atol=ATOL)
 
 
-def _dependent_before(M, decision):
-    """Whether a subset of M with affinely dependent centers comes before the
-    decision's answer in canonical order (size ascending, lexicographic):
-    before its generating subset, or anywhere up to size d+1 when FALSE;
-    no subset is walked past a disjoint pair.  Ranks by np.linalg.matrix_rank."""
-    m, d = len(M), M.dimension
-    if not decision.is_cech and ref.disjoint_pair(M):
-        return False
-    for k in range(1, min(m, d + 1) + 1):
-        for subset in combinations(range(m), k):
-            if subset == decision.generating_subset:
-                return False
-            offsets = M.centers[list(subset[1:])] - M.centers[subset[0]]
-            if k > 1 and np.linalg.matrix_rank(offsets) < k - 1:
-                return True
-    return False
+def _exact_rank(vectors):
+    """Rank of float vectors in exact rational arithmetic."""
+    rows, rank = [[Fraction(x) for x in v] for v in vectors], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _skips(M):
+    """``(row, doubtful)`` for every subset of 2 to d+1 disks of M that the
+    engine skips for its affinely dependent centers."""
+    m, d = M.centers.shape
+    for j in range(2, min(m, d + 1) + 1):
+        rows = combination_rows(m, j)
+        *_, full, doubtful = gram_rows(M.centers, rows)
+        yield from zip(rows[~full], doubtful[~full])
+
+
+def _in_doubt(M):
+    """Whether a walk of M skips a subset in doubt: a FALSE walk visits
+    every subset of 2 to d+1 disks."""
+    return any(doubtful for _, doubtful in _skips(M))
 
 
 # Disks 0 and 1 are concentric, so pair (0, 1) is dependent; no disk pole
@@ -136,20 +152,20 @@ def _dependent_before(M, decision):
 CONCENTRIC = ([[0.0, 0.0], [0.0, 0.0], [1.8 / 2.0**0.5, 1.8 / 2.0**0.5]], [1.0, 1.5, 1.0])
 
 
-def test_warning_marks_dependent_subsets_before_the_answer():
-    # Every rescaling of a DEGENERATE system warns exactly when a dependent
-    # subset precedes its answer; the box warns whenever its walk met one.
+def test_exactly_dependent_skips_never_warn():
+    # Every skip on the DEGENERATE, concentric and lattice systems is of
+    # exactly dependent centers, within the doubt floor, so no answer warns,
+    # TRUE or FALSE, walked or certified, though every one of them skips.
+    systems = [M for name in [*sorted(DEGENERATE), "concentric"] for M in scalings(*DEGENERATE.get(name, CONCENTRIC))]
     outcomes = set()
-    for name, system in [*sorted(DEGENERATE.items()), ("concentric", CONCENTRIC)]:
-        for M in scalings(*system):
-            decision = is_cech_system(M)
-            warn = _dependent_before(M, decision)
-            assert decision.degeneracy_warning == warn, name
-            outcomes.add((decision.is_cech, warn))
-            box = aabb_minimal(M)
-            if box is not None and _dependent_before(M, CechDecision(False)):
-                assert box.degeneracy_warning, name
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    for M in systems + [M for _, M in lattice_systems()]:
+        assert not _in_doubt(M)
+        decision, box, report = is_cech_system(M), aabb_minimal(M), cech_scale(M, 1e-12)
+        outcomes.add(decision.is_cech)
+        assert not decision.degeneracy_warning
+        assert box is None or not box.degeneracy_warning
+        assert not report.degeneracy_warning
+    assert outcomes == {True, False}
     # Random centers are affinely independent: nothing is skipped.
     rng = np.random.default_rng(343)
     for d in (2, 3):
@@ -162,18 +178,79 @@ def test_warning_marks_dependent_subsets_before_the_answer():
                 assert box is None or not box.degeneracy_warning
 
 
+@pytest.mark.parametrize("name", sorted(NEAR_DEPENDENT))
+def test_warnings_follow_the_doubt_floor(name):
+    # One center moved off a line or plane by eps: up to 1e-8 the skipped
+    # subset's Gram ratio is at the level of rounding and nothing warns.
+    # Above the floor the skip is in doubt: the box warns, and so does a
+    # FALSE decision that walks, just beyond the containment reach of the
+    # exact scale where the certificate cannot reach; a TRUE decision and a
+    # certified or disjoint-pair FALSE never warn.
+    doubted = []
+    for eps in NEAR_EPSILONS:
+        M = near_dependent(name, eps)
+        doubt = _in_doubt(M)
+        doubted += [eps] * doubt
+        assert not (doubt and eps <= 1e-8)
+        nu, mu = rips_scale(M), exact_cech_scale(M)
+        inside = rescale(M, 1.3 * nu)
+        assert aabb_minimal(inside).degeneracy_warning == doubt == ref.aabb_minimal(inside).degeneracy_warning
+        assert is_cech_system(inside).is_cech and not is_cech_system(inside).degeneracy_warning
+        walked = rescale(M, mu / ((1.0 + DEFAULT_TOL) * (1.0 + 5e-13)))
+        decision = is_cech_system(walked)
+        assert not cechkit.cech.certified_empty(walked) and not decision.is_cech
+        assert decision.degeneracy_warning == doubt == ref.is_cech_system(walked).degeneracy_warning
+        assert not is_cech_system(rescale(M, 0.999 * mu)).degeneracy_warning
+        for eta in (1e-6, 1e-12):
+            _assert_same_report(M, eta)
+    if name == "collinear-2d-diagonal":
+        assert doubted == [3e-7, 1e-6, 3e-6]
+    if name == "hollow-2d-edge":
+        # Its cech-scale walks its lower end at eta 1e-12: a FALSE walk.
+        assert doubted and all(cech_scale(near_dependent(name, eps), 1e-12).degeneracy_warning for eps in doubted)
+
+
+def test_silent_skips_are_exactly_dependent():
+    # Every skip on the golden, DEGENERATE and lattice inputs is silent and
+    # of centers whose differences are dependent in exact arithmetic.  Every
+    # skip in doubt, on the near-dependent systems (golden names with "+"),
+    # is of independent ones; their silent skips of centers moved by 1e-8 or
+    # less are independent too, but dependent to working precision.  Only
+    # the centers matter, so each set of centers is tested once.
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+    near = [parse_disk_system(case["csv"]) for case in golden["cases"] if "+" in case["name"]]
+    near += [M for *_, M in near_dependent_systems()]
+    systems = [parse_disk_system(case["csv"]) for case in golden["cases"] if "+" not in case["name"]]
+    systems += [DiskSystem.from_arrays(*system) for system in DEGENERATE.values()]
+    systems += [M for _, M in lattice_systems()]
+    counts = {False: 0, True: 0}
+    for exact, group in ((True, systems), (False, near)):
+        for M in {M.centers.tobytes(): M for M in group}.values():
+            for row, doubtful in _skips(M):
+                counts[bool(doubtful)] += 1
+                if exact or doubtful:
+                    c = [[Fraction(x) for x in M.centers[i]] for i in row]
+                    rank = _exact_rank([[a - b for a, b in zip(ci, c[-1])] for ci in c[:-1]])
+                    assert not (exact and doubtful) and (rank == len(row) - 1) == doubtful, row
+    assert counts[False] > 100 and counts[True] > 10
+
+
 def _assert_same_report(M, eta, got=None):
     """cech_scale(M, eta), or its report ``got``, equals the reference
     bisection, which walks every step, in every report field, witness bits
-    included.  Returns the reference report."""
+    included.  Its warning says that a walk decided the lower end FALSE,
+    where the basis of mu does not certify it, and skipped a subset in doubt.
+    Returns the reference report."""
     got = cech_scale(M, eta) if got is None else got
     want = ref.cech_scale(M, eta, decide=is_cech_system)
     assert got.rips_scale == want.rips_scale
     assert got.cech_scale == want.cech_scale
     assert got.bracket == want.bracket
     assert got.iterations == want.iterations
-    assert got.degeneracy_warning == want.degeneracy_warning
     assert np.array_equal(got.witness, want.witness)
+    lo, hi = want.bracket
+    walked = lo < hi and not cechkit.cech.dual_bound(M, *cechkit.cech.cech_basis(M)[1:])(lo)
+    assert got.degeneracy_warning == (walked and _in_doubt(M))
     return want
 
 
@@ -181,12 +258,8 @@ def test_cech_scale_matches_per_step_decisions_bit_for_bit():
     rng = np.random.default_rng(341)
     systems = [random_system(rng, d, m) for d in (2, 3) for m in range(2, 8)]
     systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
-    warned = 0
     for M in systems:
-        warned += _assert_same_report(M, 1e-6).degeneracy_warning
-    # The FALSE steps of the DEGENERATE systems skip dependent subsets, so
-    # the warning is exercised.
-    assert warned > 0
+        _assert_same_report(M, 1e-6)
 
 
 def _scale_corpus():

@@ -246,6 +246,31 @@ def test_oracle_aabb_lens():
     np.testing.assert_allclose(box.intervals, expected.intervals, atol=1e-3)
 
 
+def test_oracle_aabb_stops_refining_at_a_fixed_window(monkeypatch):
+    # The lens's slice gap is quadratic at its minimum, where the t-grid's
+    # window stops shrinking; the refinement stops at the first repeated
+    # window rather than evaluate it again up to max_rounds, which took
+    # 3,710 phi calls.  Every later round would repeat it, so the box keeps
+    # the bits it had with those rounds.
+    calls = []
+    slice_gap = oracle._slice_gap
+
+    def counting(*args):
+        phi = slice_gap(*args)
+
+        def counted(t):
+            calls.append(t)
+            return phi(t)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_slice_gap", counting)
+    box = oracle_aabb(DiskSystem((Disk(np.zeros(2), 1.0), Disk(np.array([1.0, 0.0]), 1.0))))
+    assert len(calls) < 1000
+    want = ["0x1.0000000000000p-19", "0x1.ffffc00000000p-1", "-0x1.bb67800000000p-1", "0x1.bb67800000000p-1"]
+    assert box.intervals.ravel().tolist() == [float.fromhex(x) for x in want]
+
+
 def test_oracle_aabb_tangent_point(tangent_point_system):
     box = oracle_aabb(tangent_point_system)
     np.testing.assert_allclose(
