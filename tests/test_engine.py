@@ -195,7 +195,8 @@ def test_warnings_follow_the_doubt_floor(name):
         nu, mu = rips_scale(M), exact_cech_scale(M)
         inside = rescale(M, 1.3 * nu)
         assert aabb_minimal(inside).degeneracy_warning == doubt == ref.aabb_minimal(inside).degeneracy_warning
-        assert is_cech_system(inside).is_cech and not is_cech_system(inside).degeneracy_warning
+        decision = is_cech_system(inside)
+        assert decision.is_cech and not decision.degeneracy_warning
         walked = rescale(M, mu / ((1.0 + DEFAULT_TOL) * (1.0 + 5e-13)))
         decision = is_cech_system(walked)
         assert not cechkit.cech.certified_empty(walked) and not decision.is_cech
