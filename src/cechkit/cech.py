@@ -83,8 +83,7 @@ def candidate_poles(engine: PoleEngine, M: DiskSystem):
     ``doubtful`` says that a row was skipped in doubt
     (:func:`cechkit.geometry.gram_rows`).  A single-point boundary
     intersection contributes its point for every axis and orientation.
-    Subset size is capped at min(m, d+1): larger boundary intersections are
-    generically empty and Helly's theorem covers decision completeness.
+    Subset size is capped at min(m, d) (:class:`cechkit.geometry.PoleEngine`).
     """
     d = engine.dimension
     for j in range(1, engine.max_size + 1):
@@ -126,9 +125,9 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     """Decide whether all disks of M share a common point.
 
     Enumerates the poles of every i-sphere arising from boundary
-    intersections of up to min(m, d+1) disks; the first pole contained in
-    all m disks is the witness.  Single-point boundary intersections are
-    their own witness candidates.  A disjoint pair or a certificate decides
+    intersections of up to min(m, d) disks (:class:`PoleEngine`); the first
+    pole contained in all m disks is the witness.  Single-point boundary
+    intersections are their own witness candidates.  A disjoint pair or a certificate decides
     FALSE before any enumeration, with no warning (:func:`pole_walk`); a
     FALSE walk warns when it skipped a subset in doubt (:func:`_first_witness`).
     """

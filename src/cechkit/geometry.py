@@ -476,13 +476,12 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
 
 @dataclass(frozen=True)
 class _SizeBatch:
-    """Radius-free data of the j-subsets (j >= 2) of an engine's disks:
+    """Radius-free data of the j-subsets (2 <= j <= d) of an engine's disks:
     ``rows`` lists the C(m, j) subsets, ``deficient`` marks those with
     affinely dependent centers (placeholders in the other fields),
     ``doubtful`` says that one of them is in doubt (:func:`gram_rows`), and
     ``offsets[s, 2q]`` and ``offsets[s, 2q + 1]`` are the unit steps from
-    the center to the e_q-south and e_q-north poles (None when j = d+1,
-    which yields points only)."""
+    the center to the e_q-south and e_q-north poles."""
 
     rows: np.ndarray
     deficient: np.ndarray
@@ -491,7 +490,7 @@ class _SizeBatch:
     normals: np.ndarray
     gram: np.ndarray
     sq_norms: np.ndarray
-    offsets: np.ndarray | None
+    offsets: np.ndarray
 
 
 def combination_rows(k: int, j: int) -> np.ndarray:
@@ -531,7 +530,11 @@ def gram_rows(centers: np.ndarray, rows: np.ndarray):
 
 
 class PoleEngine:
-    """Pole candidates of every subset of up to d+1 disks with fixed centers.
+    """Pole candidates of every subset of up to min(m, d) disks.
+
+    No larger subset adds one: d+1 spheres with independent centers meet in
+    at most one point, which lies on the 0-sphere of each d-subset, and both
+    points of a 0-sphere are its poles on each axis not orthogonal to them.
 
     The Gram matrices, their rank test and the pole directions depend on the
     centers only; they are computed once per subset size, on first use, and
@@ -549,7 +552,7 @@ class PoleEngine:
         self.centers = np.asarray(centers, dtype=float)
         m, d = self.centers.shape
         self.dimension = d
-        self.max_size = min(m, d + 1)
+        self.max_size = min(m, d)
         self.tol = tol
         self._sizes: dict[int, _SizeBatch] = {}
 
@@ -563,31 +566,28 @@ class PoleEngine:
         """Radius-free data of an (N, j) array of disk index rows."""
         d, j = self.dimension, rows.shape[1]
         members, normals, gram, full, doubtful = gram_rows(self.centers, rows)
-        offsets = None
-        if j <= d:
-            # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
-            proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
-            norms = np.linalg.norm(proj, axis=1)
-            flat = norms <= 2.0 * self.tol  # as in poles_general
-            unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
-            offsets = np.stack([-unit, unit], axis=2)
-            # A degenerate axis (e_q in the span of the normals): pi_q is
-            # constant on the sphere, so both poles are one sphere point, the
-            # step along the first tangent direction (ISphere.tangent_basis).
-            s, q = np.nonzero(flat & full[:, None])
-            if len(s):
-                offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
-            offsets = offsets.reshape(-1, 2 * d, d)
+        # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
+        proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
+        norms = np.linalg.norm(proj, axis=1)
+        flat = norms <= 2.0 * self.tol  # as in poles_general
+        unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
+        offsets = np.stack([-unit, unit], axis=2)
+        # A degenerate axis (e_q in the span of the normals): pi_q is
+        # constant on the sphere, so both poles are one sphere point, the
+        # step along the first tangent direction (ISphere.tangent_basis).
+        s, q = np.nonzero(flat & full[:, None])
+        if len(s):
+            offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
         return _SizeBatch(rows=rows, deficient=~full, doubtful=bool(doubtful.any()), members=members, normals=normals,
-                          gram=gram, sq_norms=np.sum(normals**2, axis=2), offsets=offsets)
+                          gram=gram, sq_norms=np.sum(normals**2, axis=2), offsets=offsets.reshape(-1, 2 * d, d))
 
     def block(self, j: int, radii: np.ndarray):
         """Candidates of the size-j subsets for the (m,) ``radii``.
 
         Returns ``(rows, index, points, doubtful)``: the (C(m, j), j) index
         rows of the size, the ascending indices into them of the subsets that
-        yield candidates, their (n, 2d, d) points, and whether a subset was
-        skipped in doubt (:func:`gram_rows`).
+        yield candidates, their (n, 2d, d) points (2d poles, or one point 2d
+        times), and whether a subset was skipped in doubt (:func:`gram_rows`).
         """
         d, tol = self.dimension, self.tol
         if j == 1:
@@ -610,9 +610,8 @@ class PoleEngine:
         r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
         tol_sq = tol * span(members, rad) ** 2
         # The rules of reduce_sphere_system on each subset, with its own span:
-        # a point within tol_sq of zero radius, a sphere above it while
-        # j <= d, else empty.
-        sphere = (full & (r2 > tol_sq)) if batch.offsets is not None else np.zeros_like(full)
+        # a point within tol_sq of zero radius, a sphere above it, else empty.
+        sphere = full & (r2 > tol_sq)
         index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
         points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
         if sphere.any():

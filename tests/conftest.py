@@ -35,17 +35,20 @@ DEGENERATE = {
 # Near-dependent systems: ``(centers, radii, i, q)`` with center i to be
 # moved by eps along axis q, off the line or plane of a collinear triple or
 # a coplanar quadruple.  "hollow-2d-edge" is a hollow triangle with a
-# fourth disk on an edge: its Cech scale lies above its Rips scale, so its
-# bisection walks FALSE steps.
+# fourth disk on an edge, and "hollow-3d-edge" a hollow tetrahedron with a
+# fifth: their Cech scales lie above their Rips scales, so their
+# bisections walk FALSE steps.  Walks visit subsets of at most d disks, so
+# only the moved triples in 3-D can be skipped in doubt.
 NEAR_DEPENDENT = {
     **{name: (*DEGENERATE[name], i, q) for name, i, q in (
         ("collinear-2d-diagonal", 1, 1), ("collinear-2d-extra", 1, 1), ("collinear-3d-skew", 1, 0),
         ("coplanar-3d", 3, 2), ("coplanar-3d-tilted", 3, 2))},
     "hollow-2d-edge": ([[0, 0], [1, 0], [0.5, 0.866], [0.5, 0]], [0.55] * 4, 3, 1),
+    "hollow-3d-edge": ([[0, 0, 0], [1, 0, 0], [0.5, 0.866, 0], [0.5, 0.3, 0.75], [0.5, 0, 0]], [0.55] * 5, 4, 1),
 }
 # Below 1e-8 a moved triple's Gram ratio stays at the level of rounding;
-# from 3e-7 it lies above the doubt floor; from about 5e-6 it passes the
-# 1e-12 rank cutoff.
+# from 3e-7 it may lie above the doubt floor; from 1e-6 to 5e-6, by the
+# triple, it passes the 1e-12 rank cutoff.
 NEAR_EPSILONS = (1e-14, 1e-12, 1e-10, 1e-8, 3e-7, 1e-6, 3e-6)
 
 

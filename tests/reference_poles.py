@@ -4,7 +4,9 @@ One :func:`reduce_sphere_system` call per subset, then :func:`poles_general`
 per axis for spheres, one :class:`Pole` per candidate and one
 :func:`contains_all_batch` call per subset.  A subset with affinely dependent
 centers (:class:`DegenerateConfiguration`) yields no pole, and is flagged when
-its skip is in doubt (:func:`doubtful`).
+its skip is in doubt (:func:`doubtful`) and it has at most d disks, as the
+package walks.  The subsets of d+1 disks stay candidates here, so every
+comparison also checks that they add nothing to the package's answers.
 Its consumers below keep the semantics of the package's decision, minimal box
 and SVG picture, and of the filtration before its subsystems were bisected in
 lockstep.  The loop forms of :func:`cechkit.geometry.preprocess` and
@@ -59,9 +61,9 @@ def doubtful(M, subset):
 
 
 def candidate_poles(M, tol=DEFAULT_TOL):
-    """Yield ``(subset, poles, doubtful)`` per subset in canonical order;
-    ``doubtful`` flags a subset skipped in doubt for its affinely dependent
-    centers."""
+    """Yield ``(subset, poles, doubtful)`` per subset of up to d+1 disks in
+    canonical order; ``doubtful`` flags a subset of at most d disks skipped
+    in doubt for its affinely dependent centers."""
     m, d = len(M), M.dimension
     for i in range(m):
         entries = []
@@ -73,7 +75,7 @@ def candidate_poles(M, tol=DEFAULT_TOL):
             try:
                 kind = reduce_sphere_system(M.subsystem(subset), tol)
             except DegenerateConfiguration:
-                yield subset, [], doubtful(M, subset)
+                yield subset, [], k <= d and doubtful(M, subset)
                 continue
             if isinstance(kind, EmptyIntersection):
                 continue

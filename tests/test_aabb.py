@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cechkit import (
+    DEFAULT_TOL,
     Box,
     Disk,
     DiskSystem,
@@ -19,6 +20,7 @@ from cechkit import (
     boundary_poles,
     box_intersect,
     contains,
+    exact_cech_scale,
     intersect_two_spheres,
     is_cech_system,
     oracle_aabb,
@@ -28,6 +30,7 @@ from cechkit import (
     rescale,
     rips_scale,
 )
+from cechkit.cech import cech_basis
 import reference_poles
 from conftest import (DEGENERATE, NEAR_DEPENDENT, NEAR_EPSILONS, hollow_simplex_system, intersecting_simplex_system,
                       lattice_systems, near_dependent, random_system, scalings)
@@ -222,6 +225,44 @@ def test_minimal_three_disk_case_analysis():
         arr = np.array(retained)
         expected = np.column_stack([arr.min(axis=0), arr.max(axis=0)])
         np.testing.assert_allclose(box.intervals, expected, atol=1e-9)
+
+
+# Seeds of random_system(d, m) whose box at 1 - 1e-10 of the exact Cech
+# scale has an axis bound with no retained pole of its own orientation.
+MISSING_BUCKET = ((2, 3, 21), (2, 4, 45), (3, 4, 15), (3, 5, 2))
+
+
+@pytest.mark.parametrize("d,m,seed", MISSING_BUCKET)
+def test_minimal_warns_on_a_missing_bucket(d, m, seed):
+    # Just below the exact scale mu the containment reach still accepts a
+    # sliver around the minimax point.  A retained point of a d-subset's
+    # 0-sphere is its pole only on the sides it lies on, so some axis bound
+    # has no retained pole: the box takes it from the retained points and
+    # warns.  The common point of d+1 spheres counted for every side, so
+    # the reference, which still enumerates it, does not warn.
+    M = random_system(np.random.default_rng(seed), d, m)
+    N = rescale(M, exact_cech_scale(M) * (1.0 - 1e-10))
+    box, want = aabb_minimal(N), reference_poles.aabb_minimal(N)
+    assert box.degeneracy_warning and not want.degeneracy_warning
+    # Both boxes are spanned by points that passed containment: for every
+    # disk i, ||p - c_i|| <= rho r_i with rho = (1 + tol) g and g the
+    # rounding factor of cechkit.cech.dual_bound.  For convex weights b on
+    # the basis of mu, x* = sum b_i c_i, R = sum b_i r_i^2 and
+    # N0 = sum b_i ||x* - c_i||^2,
+    #     ||p - x*||^2 = sum b_i ||p - c_i||^2 - N0 <= rho^2 R - N0 = h^2,
+    # about 1.8e-9 R here.  So both boxes lie within h of x* on every axis,
+    # and their ends differ by at most 2 h; the 2^-40 (N0 + R) holds the
+    # rounding of N0 and R.
+    _, basis, weights = cech_basis(N)
+    b, centers, radii = weights / weights.sum(), N.centers[basis], N.radii[basis]
+    x = b @ centers
+    R, N0 = b @ radii**2, b @ np.sum((x - centers) ** 2, axis=1)
+    u = 2.0**-53
+    rho = (1.0 + DEFAULT_TOL) * (1.0 + u) ** 3 / (1.0 - u) ** ((d + 4) / 2)
+    h = math.sqrt(rho * rho * R - N0 + 2.0**-40 * (N0 + R))
+    for got in (box, want):
+        assert np.all(np.abs(got.intervals - x[:, None]) <= h)
+    assert np.all(np.abs(box.intervals - want.intervals) <= 2.0 * h)
 
 
 # ---------------------------------------------------------------------------

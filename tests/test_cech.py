@@ -281,7 +281,7 @@ def test_decision_matches_oracle_on_lattice_systems(name):
 
 
 # ---------------------------------------------------------------------------
-# Memory of FALSE answers
+# Memory of walks
 # ---------------------------------------------------------------------------
 
 
@@ -298,8 +298,9 @@ def _peak(f):
 def test_false_answers_build_no_subset_stack():
     # d = 3, m = 48, no disjoint pair at 0.999 of the exact scale: a
     # certified FALSE check walks nothing, and cech_scale walks only its
-    # upper end, one C(48, 4) = 194,580-row stack without pole directions.
-    # A scan of every subset for the warning alone took 78 MB in each.
+    # upper end, which finds its witness among the C(48, 3) = 17,296
+    # triples.  A scan of every subset for the warning alone took 78 MB in
+    # each.
     rng = np.random.default_rng(5)
     while True:
         M = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (48, 3)), rng.uniform(0.9, 1.1, 48))
@@ -309,3 +310,14 @@ def test_false_answers_build_no_subset_stack():
     assert certified_empty(N)
     assert _peak(lambda: is_cech_system(N)) < 2**20
     assert _peak(lambda: cech_scale(M)) < 24 * 2**20
+
+
+def test_box_walk_builds_no_stack_of_d_plus_1_disks():
+    # d = 3, m = 48, a TRUE system at 1.01 of its exact scale: the box walks
+    # every subset of at most 3 disks, 17,296 triples at most, and no
+    # C(48, 4) = 194,580-row stack of quadruples.  About 16.5 MiB here;
+    # with the quadruples it took about 119 MiB.
+    rng = np.random.default_rng(5)
+    M = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (48, 3)), rng.uniform(0.9, 1.1, 48))
+    N = rescale(M, 1.01 * exact_cech_scale(M))
+    assert _peak(lambda: aabb_minimal(N)) < 32 * 2**20

@@ -402,11 +402,14 @@ def test_strict_escalates_only_doubtful_skips(tmp_path, capsys):
     )
     # Skips of exactly dependent centers warn nowhere.  Disks 0 and 1 are
     # concentric: pair (0, 1) is skipped before the witness of pair (0, 2).
-    # Four disks around a hollow triangle, with disk 3 on the segment of
-    # disks 0 and 1: FALSE, after skipping triple (0, 1, 3).  Three
-    # collinear unit disks: TRUE, and the box skips the triple.
+    # Three 3-D disks on a line, and a fourth off it: TRUE, and the box
+    # skips the triple.  Walks visit subsets of at most d disks, so in 2-D
+    # only pairs can be skipped: four disks around a hollow triangle, with
+    # disk 3 on the segment of disks 0 and 1, are FALSE, and three collinear
+    # unit disks TRUE, with no triple walked.
     for name, text, command, answer in (
         ("concentric", "0,0,1\n0,0,1.5\n1.2727922061357855,1.2727922061357855,1\n", "check", EXIT_OK),
+        ("col-3d", "0,0,0,1.2\n1,0,0,1.2\n2,0,0,1.2\n1,1,0,1.2\n", "aabb", EXIT_OK),
         ("hollow", "0,0,0.55\n1,0,0.55\n0.5,0.866,0.55\n0.5,0,0.55\n", "check", EXIT_NEGATIVE),
         ("col", "0,0,1\n1,0,1\n2,0,1\n", "aabb", EXIT_OK),
     ):
@@ -414,10 +417,11 @@ def test_strict_escalates_only_doubtful_skips(tmp_path, capsys):
         path.write_text(text)
         assert main([command, str(path), "--strict"]) == answer, name
         assert capsys.readouterr().err == "", name
-    # Disk 3 moved 3e-7 off that segment: triple (0, 1, 3) is skipped in
-    # doubt.  The box warns, and so does the FALSE check just beyond the
-    # containment reach of the exact scale, which a walk decides.
-    M = near_dependent("hollow-2d-edge", 3e-7)
+    # Disk 1 of the 3-D collinear triple (0, 1, 2) moved 1e-6 off its
+    # line: the triple is skipped in doubt.  The box warns, and so does the
+    # FALSE check just beyond the containment reach of the exact scale,
+    # which a walk decides.
+    M = near_dependent("collinear-3d-skew", 1e-6)
     walked = exact_cech_scale(M) / ((1.0 + DEFAULT_TOL) * (1.0 + 5e-13))
     for command, lam, answer in (("aabb", 1.3 * rips_scale(M), EXIT_OK), ("check", walked, EXIT_NEGATIVE)):
         path = tmp_path / f"{command}.csv"

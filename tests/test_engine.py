@@ -131,11 +131,11 @@ def _exact_rank(vectors):
     return rank
 
 
-def _skips(M):
-    """``(row, doubtful)`` for every subset of 2 to d+1 disks of M that the
-    engine skips for its affinely dependent centers."""
-    m, d = M.centers.shape
-    for j in range(2, min(m, d + 1) + 1):
+def _skips(M, most):
+    """``(row, doubtful)`` for every subset of 2 to ``most`` disks of M that
+    :func:`gram_rows` finds affinely dependent."""
+    m = len(M)
+    for j in range(2, min(m, most) + 1):
         rows = combination_rows(m, j)
         *_, full, doubtful = gram_rows(M.centers, rows)
         yield from zip(rows[~full], doubtful[~full])
@@ -143,8 +143,8 @@ def _skips(M):
 
 def _in_doubt(M):
     """Whether a walk of M skips a subset in doubt: a FALSE walk visits
-    every subset of 2 to d+1 disks."""
-    return any(doubtful for _, doubtful in _skips(M))
+    every subset of 2 to d disks."""
+    return any(doubtful for _, doubtful in _skips(M, M.dimension))
 
 
 # Disks 0 and 1 are concentric, so pair (0, 1) is dependent; no disk pole
@@ -185,7 +185,10 @@ def test_warnings_follow_the_doubt_floor(name):
     # Above the floor the skip is in doubt: the box warns, and so does a
     # FALSE decision that walks, just beyond the containment reach of the
     # exact scale where the certificate cannot reach; a TRUE decision and a
-    # certified or disjoint-pair FALSE never warn.
+    # certified or disjoint-pair FALSE never warn.  Walks visit subsets of
+    # at most d disks, whose moved subsets are triples: a 2-D pair's Gram
+    # ratio is 1, and a coplanar quadruple in 3-D is not walked, so only
+    # the 3-D triples warn.
     doubted = []
     for eps in NEAR_EPSILONS:
         M = near_dependent(name, eps)
@@ -204,11 +207,10 @@ def test_warnings_follow_the_doubt_floor(name):
         assert not is_cech_system(rescale(M, 0.999 * mu)).degeneracy_warning
         for eta in (1e-6, 1e-12):
             _assert_same_report(M, eta)
-    if name == "collinear-2d-diagonal":
-        assert doubted == [3e-7, 1e-6, 3e-6]
-    if name == "hollow-2d-edge":
+    assert doubted == {"collinear-3d-skew": [1e-6, 3e-6], "hollow-3d-edge": [3e-7]}.get(name, [])
+    if name == "hollow-3d-edge":
         # Its cech-scale walks its lower end at eta 1e-12: a FALSE walk.
-        assert doubted and all(cech_scale(near_dependent(name, eps), 1e-12).degeneracy_warning for eps in doubted)
+        assert all(cech_scale(near_dependent(name, eps), 1e-12).degeneracy_warning for eps in doubted)
 
 
 def test_silent_skips_are_exactly_dependent():
@@ -217,7 +219,9 @@ def test_silent_skips_are_exactly_dependent():
     # skip in doubt, on the near-dependent systems (golden names with "+"),
     # is of independent ones; their silent skips of centers moved by 1e-8 or
     # less are independent too, but dependent to working precision.  Only
-    # the centers matter, so each set of centers is tested once.
+    # the centers matter, so each set of centers is tested once.  The rank
+    # test is that of the Cech basis's subsets too, so it is checked on
+    # subsets of up to d+1 disks, beyond those that walks visit.
     golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
     near = [parse_disk_system(case["csv"]) for case in golden["cases"] if "+" in case["name"]]
     near += [M for *_, M in near_dependent_systems()]
@@ -227,13 +231,38 @@ def test_silent_skips_are_exactly_dependent():
     counts = {False: 0, True: 0}
     for exact, group in ((True, systems), (False, near)):
         for M in {M.centers.tobytes(): M for M in group}.values():
-            for row, doubtful in _skips(M):
+            for row, doubtful in _skips(M, M.dimension + 1):
                 counts[bool(doubtful)] += 1
                 if exact or doubtful:
                     c = [[Fraction(x) for x in M.centers[i]] for i in row]
                     rank = _exact_rank([[a - b for a, b in zip(ci, c[-1])] for ci in c[:-1]])
                     assert not (exact and doubtful) and (rank == len(row) - 1) == doubtful, row
     assert counts[False] > 100 and counts[True] > 10
+
+
+def test_every_point_of_d_plus_1_disks_is_a_point_of_a_walked_subset():
+    # Walks visit subsets of at most d disks.  A subset of d+1 disks that
+    # the rank test keeps, or skips in doubt, yields at most the common
+    # point of its d+1 spheres; that point lies on the 0-sphere of each of
+    # its d-subsets, and both points of a 0-sphere are candidates of the
+    # d-block.  So none is lost as long as one of those d-subsets is kept:
+    # no (d+1)-subset may have all its d-subsets skipped.
+    rng = np.random.default_rng(383)
+    systems = [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])[:1]]
+    systems += [M for *_, M in near_dependent_systems()] + [M for _, M in lattice_systems()]
+    systems += [random_system(rng, int(rng.integers(1, 4)), int(rng.integers(2, 14))) for _ in range(300)]
+    checked = 0
+    for M in systems:
+        m, d = M.centers.shape
+        if m <= d:
+            continue
+        rows, subsets = combination_rows(m, d + 1), combination_rows(m, d)
+        *_, full, doubtful = gram_rows(M.centers, rows)
+        kept = {tuple(row) for row in subsets[gram_rows(M.centers, subsets)[3]]}
+        for row in rows[full | doubtful]:
+            checked += 1
+            assert any(tuple(np.delete(row, k)) in kept for k in range(d + 1)), (M.centers, row)
+    assert checked > 25_000
 
 
 def _assert_same_report(M, eta, got=None):
