@@ -108,7 +108,7 @@ def pole_envelope(blocks, d: int) -> Box | None:
         highs = np.maximum(highs, np.where(inside[..., 1], poles[..., 1], -np.inf).max(axis=0))
     if np.isinf(kept_min).any():  # no candidate retained
         return None
-    # A missing bucket can only happen in near-degenerate float
+    # A missing bucket happens near tangency, or in near-degenerate float
     # configurations; any retained point still bounds the box.
     missing_low, missing_high = np.isinf(lows), np.isinf(highs)
     if missing_low.any() or missing_high.any():
