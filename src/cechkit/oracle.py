@@ -7,9 +7,10 @@ containers.  Intended for d <= 3.
 :func:`oracle_minimax` brackets the minimax value min_x max_i ||x - c_i|| / r_i
 between the objective at a point, an upper bound, and a Lagrange dual
 value, a lower bound, so its slack is a certified duality gap.
-:func:`oracle_aabb` bisects hyperplane slices whose gap is minimised by
-grid refinement.  The grids are products of axes, and both objectives sum
-the squared distances to the centers axis by axis (:func:`_squared_distances`).
+:func:`oracle_aabb` bisects each box end on hyperplane slices, each a
+system of d - 1 dimensions that :func:`oracle_minimax` decides.  Its grids
+are products of axes, and its objective sums the squared distances to the
+centers axis by axis (:func:`_squared_distances`).
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ class OracleConfig:
             raise ValueError("oracle config values must be positive (grid >= 2, shrink > 1)")
 
 
-# oracle_aabb's default: its slice grids have initial_grid // 2 = 32
-# points, as when this was the default of every oracle.
-AABB_CONFIG = OracleConfig(initial_grid=64)
+# oracle_aabb bisects each box end to a bracket of this fraction of the
+# span (the largest per-axis spread of the centers plus the largest radius).
+AABB_STOP = 1e-9
 
 
 class MinimaxResult(NamedTuple):
@@ -53,15 +54,7 @@ class MinimaxResult(NamedTuple):
     history: tuple[float, ...]
 
 
-def _grid_refine(
-    objective,
-    lower,
-    upper,
-    cfg: OracleConfig,
-    lipschitz: float,
-    target_step: float | None = None,
-    max_rounds: int = 100,
-):
+def _grid_refine(objective, lower, upper, cfg: OracleConfig, lipschitz: float):
     """Minimize a convex Lipschitz objective over a box by grid refinement.
 
     objective maps the k >= 1 axes of a round's grid, as the open mesh
@@ -72,11 +65,6 @@ def _grid_refine(
     final value is within lipschitz * ||final step|| / 2 of the minimum.
     ``shrink_factor`` caps the per-round shrink.  Returns
     (best value, best point, final per-axis step, per-round best values).
-
-    With ``target_step`` set, refinement continues past the configured
-    round count until the largest per-axis step drops below it (bounded by
-    ``max_rounds``), or until a round leaves its window unchanged: every
-    later round would repeat it, grid, values and all.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -86,7 +74,6 @@ def _grid_refine(
     history = []
     lo, hi = lower.copy(), upper.copy()
     step = (hi - lo) / max(n - 1, 1)
-    rounds = 0
     while True:
         axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
         values = objective(np.ix_(*axes))
@@ -95,12 +82,7 @@ def _grid_refine(
             best_value = float(values[idx])
             best_point = np.array([axis[i] for axis, i in zip(axes, idx)])
         history.append(best_value)
-        rounds += 1
-        if rounds >= cfg.refinement_rounds and (
-            target_step is None
-            or float(np.max(step, initial=0.0)) <= target_step
-            or rounds >= max_rounds
-        ):
+        if len(history) == cfg.refinement_rounds:
             break
         # The true minimizer is within half a cell diagonal of its nearest
         # grid point, so the sublevel set below min + L*halfdiag contains it.
@@ -112,10 +94,7 @@ def _grid_refine(
         mid = 0.5 * (new_lo + new_hi)
         new_lo = np.minimum(new_lo, mid - 0.5 * floor)
         new_hi = np.maximum(new_hi, mid + 0.5 * floor)
-        new_lo, new_hi = np.maximum(new_lo, lower), np.minimum(new_hi, upper)
-        if target_step is not None and np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
+        lo, hi = np.maximum(new_lo, lower), np.minimum(new_hi, upper)
         step = (hi - lo) / max(n - 1, 1)
     return best_value, best_point, step, tuple(history)
 
@@ -138,19 +117,36 @@ def _equal_ratio_points(centers, radii, subsets, unit):
     every disk of S has one ratio ||x - c_i|| / r_i = sqrt(t).  With
     x = c_0 + sum_j y_j (c_j - c_0), the differences of the squared
     equations are linear, G y = (b - t delta) / 2, and the first equation is
-    then a quadratic in t.  Lengths are in ``unit``, a power of two.
-    Returns the points, their barycentric weights (1 - sum y, y), which at
-    the minimax point of S are its KKT multipliers over r_i^2, and the rows
-    of ``subsets`` they belong to: one or two per subset with affinely
-    independent centers, none for the others.
+    then a quadratic in t.  A pair's roots, t = D^2 / (r_0 +- r_1)^2 at
+    y = r_0 / (r_0 +- r_1), are taken in closed form, since the quadratic's
+    discriminant cancels when the radii differ widely.  Lengths are in
+    ``unit``, a power of two.  Returns the points, their barycentric weights
+    (1 - sum y, y), which at the minimax point of S are its KKT multipliers
+    over r_i^2, and the rows of ``subsets`` they belong to: one or two per
+    subset with affinely independent centers, none for the others.
     """
     origin = centers[subsets[:, 0]]
     a = (centers[subsets[:, 1:]] - origin[:, None, :]) / unit
-    rho2 = (radii[subsets] / unit) ** 2
+    rho = radii[subsets] / unit
     gram = a @ a.transpose(0, 2, 1)
     diagonal = np.diagonal(gram, axis1=1, axis2=2)
     (rows,) = np.nonzero(np.linalg.det(gram) > 1e-12 * np.prod(diagonal, axis=1))
-    a, rho2 = a[rows], rho2[rows]
+    a, rho = a[rows], rho[rows]
+    if subsets.shape[1] == 2:
+        # Two roots per row, of weights (+-r_1, r_0) / (r_0 +- r_1).
+        r0, r1 = np.broadcast_arrays(rho[:, :1], [1.0, -1.0] * rho[:, 1:])
+        weights = (np.stack([r1, r0], axis=2) / (r0 + r1)[:, :, None]).reshape(-1, 2)
+        roots = np.repeat(rows, 2)
+        valid = np.all(np.isfinite(weights), axis=1)  # equal radii have one root
+        weights, roots = weights[valid], roots[valid]
+        # x = c_0 + w_1 (c_1 - c_0) = c_1 + w_0 (c_0 - c_1): start from the
+        # center of the larger weight, which x lies nearer.
+        index = np.arange(len(roots))
+        near = (np.abs(weights[:, 1]) > np.abs(weights[:, 0])).astype(int)
+        ends = centers[subsets[roots]]
+        base, far = ends[index, near], ends[index, 1 - near]
+        return base + weights[index, 1 - near][:, None] * (far - base), weights, roots
+    rho2 = rho * rho
     rhs = 0.5 * np.stack([np.sum(a * a, axis=2), rho2[:, 1:] - rho2[:, :1]], axis=2)
     y = np.linalg.solve(gram[rows], rhs)  # (n', k - 1, 2): y = y0 - t y1
     u = y.transpose(0, 2, 1) @ a
@@ -292,88 +288,65 @@ def oracle_intersects(M: DiskSystem, cfg: OracleConfig | None = None) -> bool:
     return result.value <= 1.0 + result.slack
 
 
-def _slice_gap(M: DiskSystem, axis: int, cfg: OracleConfig):
-    """phi(t) = min over the hyperplane x_axis = t of max_i (||x-c_i|| - r_i).
+def _slice_meets(centers, radii, q: int, t: float, cfg: OracleConfig | None) -> int:
+    """Whether the hyperplane x_q = t meets the intersection of the disks:
+    1 when it does, -1 when it does not, 0 when :func:`oracle_minimax`
+    cannot tell within its slack.
 
-    Convex in t; nonpositive iff the hyperplane meets the intersection.
+    The hyperplane cuts disk i in a (d - 1)-disk about c_i without its
+    coordinate q, of squared radius r_i^2 - (t - c_iq)^2; it meets the
+    intersection iff every cut is non-empty and the cuts meet.
     """
-    centers, radii = M.centers, M.radii
-    others = [i for i in range(M.dimension) if i != axis]
-    flat_centers = centers[:, others]
-    span = float(np.max(M.radii)) + float(np.max(np.ptp(centers, axis=0), initial=0.0))
-    # Deeper refinement than the top-level config: feasibility thresholds
-    # near tangency need gap values resolved to ~1e-9 of the system scale.
-    target = 1e-10 * (1.0 + span)
-    inner = OracleConfig(
-        initial_grid=max(cfg.initial_grid // 2, 17),
-        refinement_rounds=max(cfg.refinement_rounds, 14),
-        shrink_factor=cfg.shrink_factor,
-    )
-
-    def phi(t: float) -> float:
-        h2 = (t - centers[:, axis]) ** 2
-
-        if not others:
-            return float(np.max(np.sqrt(h2) - radii))
-
-        def objective(coords):
-            dist = np.sqrt(_squared_distances(coords, flat_centers) + h2)
-            return np.max(dist - radii, axis=-1)
-
-        lower = flat_centers.min(axis=0)
-        upper = flat_centers.max(axis=0)
-        value, _, _, _ = _grid_refine(
-            objective, lower, upper, inner, lipschitz=1.0, target_step=target
-        )
-        return value
-
-    return phi
+    rho2 = radii**2 - (t - centers[:, q]) ** 2
+    if np.min(rho2) <= 0.0:
+        return -1
+    if centers.shape[1] == 1:
+        return 1
+    result = oracle_minimax(DiskSystem.from_arrays(np.delete(centers, q, axis=1), np.sqrt(rho2)), cfg)
+    if result.value + result.slack < 1.0:
+        return 1
+    return -1 if result.value - result.slack > 1.0 else 0
 
 
 def oracle_aabb(M: DiskSystem, cfg: OracleConfig | None = None) -> Box | None:
-    """Per-axis extremes of the intersection set by slice bisection.
+    """Per-axis extremes of the intersection by bisection on slice decisions.
 
-    For each axis the hyperplane gap phi(t) (see :func:`_slice_gap`) is
-    minimized by 1-d grid refinement to locate a feasible slice, then the
-    extreme slice positions are bisected to the grid-step tolerance.
-    Returns None when no axis admits a feasible slice.
+    :func:`oracle_minimax` of M decides first: None when its band lies
+    above 1, and the single-point box at its point when the band holds 1,
+    where M is tangent to within the slack.  Otherwise that point lies
+    inside every disk, and each end of each axis is bisected between the
+    point's coordinate, whose slice meets, and the end of the disks'
+    common extent on that axis, by :func:`_slice_meets`, until the bracket
+    is at most ``AABB_STOP`` times the span wide, its midpoint rounds to one
+    of its ends, or a slice is undecided.  Each end is its bracket's meeting
+    side, so the box lies inside the intersection's, by at most the stop
+    width where neither of the last two happened.  Lengths are in a power
+    of two at least the span, so no slice system underflows and scaling M
+    by 2^k scales the box bit for bit.  ``cfg`` goes to every
+    oracle_minimax call.
     """
-    cfg = cfg or AABB_CONFIG
-    d = M.dimension
-    scale = 1.0 + float(np.max(M.radii)) + float(np.max(np.ptp(M.centers, axis=0), initial=0.0))
-    feas_eps = 1e-8 * scale
-    bisect_tol = 1e-6 * scale
-    intervals = np.empty((d, 2))
-    for q in range(d):
-        phi = _slice_gap(M, q, cfg)
-        lo_all = float(np.min(M.centers[:, q] - M.radii))
-        hi_all = float(np.max(M.centers[:, q] + M.radii))
-        inner_lo = float(np.max(M.centers[:, q] - M.radii))
-        inner_hi = float(np.min(M.centers[:, q] + M.radii))
-        if inner_hi < inner_lo:
-            return None
-        value, point, _, _ = _grid_refine(
-            lambda mesh: np.array([phi(float(t)) for t in mesh[0]]),
-            [inner_lo], [inner_hi],
-            OracleConfig(33, max(cfg.refinement_rounds, 10), cfg.shrink_factor),
-            lipschitz=1.0,
-            target_step=1e-7 * scale,
-        )
-        if value > feas_eps:
-            return None
-        t_feas = float(point[0])
-        accept = max(feas_eps, value + feas_eps)
-
-        def support(t_infeasible: float, t_ok: float) -> float:
-            lo, hi = t_infeasible, t_ok
-            while abs(hi - lo) > bisect_tol:
-                mid = 0.5 * (lo + hi)
-                if phi(mid) <= accept:
-                    hi = mid
+    start = oracle_minimax(M, cfg)
+    if start.value - start.slack > 1.0:
+        return None
+    if abs(start.value - 1.0) <= start.slack:
+        return Box(np.stack([start.point, start.point], axis=1))
+    extent = float(np.max(np.ptp(M.centers, axis=0)) + np.max(M.radii))
+    unit = math.ldexp(1.0, math.frexp(extent)[1])
+    centers, radii = M.centers / unit, M.radii / unit
+    width = AABB_STOP * extent / unit
+    intervals = np.empty((M.dimension, 2))
+    for q in range(M.dimension):
+        ends = (np.max(centers[:, q] - radii), np.min(centers[:, q] + radii))
+        for side, end in enumerate(ends):
+            inside, outside = start.point[q] / unit, float(end)
+            while abs(outside - inside) > width:
+                mid = 0.5 * (inside + outside)
+                verdict = _slice_meets(centers, radii, q, mid, cfg) if inside != mid != outside else 0
+                if verdict == 0:
+                    break
+                if verdict > 0:
+                    inside = mid
                 else:
-                    lo = mid
-            return hi
-
-        intervals[q, 0] = support(lo_all, t_feas) if phi(lo_all) > accept else lo_all
-        intervals[q, 1] = support(hi_all, t_feas) if phi(hi_all) > accept else hi_all
+                    outside = mid
+            intervals[q, side] = inside * unit
     return Box(intervals)

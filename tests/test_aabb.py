@@ -31,6 +31,7 @@ from cechkit import (
     rips_scale,
 )
 from cechkit.cech import cech_basis
+from cechkit.geometry import span
 import reference_poles
 from conftest import (DEGENERATE, NEAR_DEPENDENT, NEAR_EPSILONS, hollow_simplex_system, intersecting_simplex_system,
                       lattice_systems, near_dependent, random_system, scalings)
@@ -161,6 +162,13 @@ def _retained_pole_points(M):
     return reference_poles.retained_pole_points(M)
 
 
+def _assert_matches_oracle(box, M):
+    """The box's intervals equal oracle_aabb's to within 1e-8 of M's span."""
+    reference = oracle_aabb(M)
+    assert reference is not None
+    np.testing.assert_allclose(box.intervals, reference.intervals, rtol=0, atol=1e-8 * float(span(M.centers, M.radii)))
+
+
 def test_minimal_matches_oracle():
     rng = np.random.default_rng(59)
     checked = 0
@@ -170,8 +178,7 @@ def test_minimal_matches_oracle():
         if box is None or np.min(box.widths) < 1e-3:
             continue
         checked += 1
-        reference = oracle_aabb(M)
-        np.testing.assert_allclose(box.intervals, reference.intervals, atol=2e-3)
+        _assert_matches_oracle(box, M)
 
 
 def test_minimal_containment_monotonicity():
@@ -422,9 +429,7 @@ def _assert_unwarned_boxes_match_oracle(systems):
         box = aabb_minimal(M)
         if box is None or box.degeneracy_warning:
             continue
-        reference = oracle_aabb(M)
-        assert reference is not None
-        np.testing.assert_allclose(box.intervals, reference.intervals, atol=2e-3)
+        _assert_matches_oracle(box, M)
         compared += 1
     return compared
 

@@ -1,5 +1,5 @@
 """Brute-force oracle: minimax value and its certified slack, decision and
-slice-bisection AABB."""
+the AABB bisected on slice decisions."""
 
 import math
 import tracemalloc
@@ -18,7 +18,8 @@ from cechkit import (
     oracle_minimax,
 )
 from cechkit import oracle
-from cechkit.oracle import _grid_refine
+from cechkit.geometry import span
+from cechkit.oracle import AABB_STOP, _grid_refine
 from conftest import DEGENERATE, lattice_systems, random_system, scalings
 from test_invariance import POWERS
 
@@ -101,15 +102,22 @@ def test_slack_is_tight_on_generic_systems():
         assert result.slack <= 1e-12 * max(1.0, result.value)
 
 
+def test_slack_is_tight_when_active_radii_differ_widely():
+    # Radii uniform(0.01, 1)^2 put pairs whose radii differ by 1e3-1e4 in
+    # the active set.  Solved as a quadratic in t, whose discriminant then
+    # cancels, their polished points left slacks up to 3.7e-11 of the value
+    # on 6 of these systems; a pair's closed form keeps them below 3e-13.
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        d, m = int(rng.integers(2, 4)), int(rng.integers(6, 31))
+        M = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (m, d)), rng.uniform(0.01, 1.0, m) ** 2)
+        result = oracle_minimax(M)
+        assert result.slack <= 1e-12 * result.value, (d, m, result)
+
+
 def _point_ratios(points, centers, radii):
     """max_i ||x - c_i|| / r_i at each row x of points, point by point."""
     return np.max(np.linalg.norm(points[:, None, :] - centers, axis=2) / radii, axis=1)
-
-
-def _point_gaps(points, centers, radii, h2):
-    """max_i (sqrt(||x - c_i||^2 + h_i^2) - r_i) at each row x of points."""
-    diff = points[:, None, :] - centers
-    return np.max(np.sqrt(np.sum(diff * diff, axis=2) + h2) - radii, axis=1)
 
 
 def _grid_objectives(monkeypatch, call):
@@ -140,8 +148,8 @@ GRID_SYSTEMS = [
 
 @pytest.mark.parametrize("M", GRID_SYSTEMS, ids=lambda M: f"d{M.dimension}-m{len(M)}")
 def test_axis_wise_grid_objectives_match_the_point_wise_ones(M, monkeypatch):
-    # k = d axes for the minimax grid, d - 1 for the slices; the collinear
-    # systems give windows of zero width on their constant axes.
+    # k = d axes for the minimax grid; the collinear systems give windows of
+    # zero width on their constant axes.
     centers, radii = M.centers, M.radii
     lower, upper = centers.min(axis=0), centers.max(axis=0)
     boxes = ((lower - 0.5, upper + 0.5), (lower, upper))
@@ -151,20 +159,6 @@ def test_axis_wise_grid_objectives_match_the_point_wise_ones(M, monkeypatch):
             want = _point_ratios(points, centers, radii)
             assert np.array_equal(objective(mesh).ravel(), want)
             assert np.array_equal(objective(points.T), want)  # the polish's form
-    for q in range(M.dimension):
-        others = [i for i in range(M.dimension) if i != q]
-        phi = oracle._slice_gap(M, q, oracle.AABB_CONFIG)
-        for t in (float(centers[0, q]), float(np.mean(centers[:, q])) + 0.25):
-            h2 = (t - centers[:, q]) ** 2
-            objectives = _grid_objectives(monkeypatch, lambda: phi(t))
-            if not others:  # d = 1: no grid, the gap at the empty point
-                assert objectives == []
-                assert phi(t) == _point_gaps(np.zeros((1, 0)), centers[:, others], radii, h2)[0]
-                continue
-            for box_lower, box_upper in boxes:
-                mesh, points = _mesh(box_lower[others], box_upper[others])
-                want = _point_gaps(points, centers[:, others], radii, h2)
-                assert np.array_equal(objectives[0](mesh).ravel(), want)
 
 
 def _grid_slack(M, cfg):
@@ -234,48 +228,77 @@ def test_intersects_self_consistency():
         assert oracle_intersects(M) == (result.value <= 1.0)
 
 
+def _assert_box_matches(box, M, want):
+    """The box's intervals equal ``want`` to within 1e-8 of M's span."""
+    np.testing.assert_allclose(box.intervals, want, rtol=0, atol=1e-8 * float(span(M.centers, M.radii)))
+
+
 def test_oracle_aabb_single_disk():
-    box = oracle_aabb(DiskSystem.from_arrays([[1.0, 2.0]], [3.0]))
-    np.testing.assert_allclose(box.intervals, [[-2.0, 4.0], [-1.0, 5.0]], atol=1e-3)
+    M = DiskSystem.from_arrays([[1.0, 2.0]], [3.0])
+    _assert_box_matches(oracle_aabb(M), M, [[-2.0, 4.0], [-1.0, 5.0]])
 
 
 def test_oracle_aabb_lens():
     M = DiskSystem((Disk(np.zeros(2), 1.0), Disk(np.array([1.0, 0.0]), 1.0)))
-    box = oracle_aabb(M)
-    expected = aabb_two_disks(M[0], M[1])
-    np.testing.assert_allclose(box.intervals, expected.intervals, atol=1e-3)
+    _assert_box_matches(oracle_aabb(M), M, aabb_two_disks(M[0], M[1]).intervals)
 
 
-def test_oracle_aabb_stops_refining_at_a_fixed_window(monkeypatch):
-    # The lens's slice gap is quadratic at its minimum, where the t-grid's
-    # window stops shrinking; the refinement stops at the first repeated
-    # window rather than evaluate it again up to max_rounds, which took
-    # 3,710 phi calls.  Every later round would repeat it, so the box keeps
-    # the bits it had with those rounds.
+def test_oracle_aabb_bisects_the_lens_to_the_stop_width(monkeypatch):
+    # The lens of unit disks at 0 and e_1 is [0, 1] x [-sqrt(3)/2, sqrt(3)/2].
+    # Every end is a meeting slice, so it lies inside, by at most the stop
+    # width.  Each end's bracket starts at most two spans wide (the start
+    # point and the extent's end lie in one disk) and halves down to the
+    # stop width, so it takes at most 31 slice decisions: with the start,
+    # at most 125 oracle_minimax calls (115 measured).
     calls = []
-    slice_gap = oracle._slice_gap
+    minimax = oracle.oracle_minimax
 
     def counting(*args):
-        phi = slice_gap(*args)
+        calls.append(args)
+        return minimax(*args)
 
-        def counted(t):
-            calls.append(t)
-            return phi(t)
+    monkeypatch.setattr(oracle, "oracle_minimax", counting)
+    M = DiskSystem((Disk(np.zeros(2), 1.0), Disk(np.array([1.0, 0.0]), 1.0)))
+    box = oracle_aabb(M)
+    assert len(calls) <= 1 + 4 * math.ceil(math.log2(2.0 / AABB_STOP))
+    half = math.sqrt(3.0) / 2.0
+    inward = (box.intervals - [[0.0, 1.0], [-half, half]]) * [1.0, -1.0]
+    assert np.all(inward >= 0.0) and np.all(inward <= AABB_STOP * float(span(M.centers, M.radii))), inward
 
-        return counted
 
-    monkeypatch.setattr(oracle, "_slice_gap", counting)
-    box = oracle_aabb(DiskSystem((Disk(np.zeros(2), 1.0), Disk(np.array([1.0, 0.0]), 1.0))))
-    assert len(calls) < 1000
-    want = ["0x1.0000000000000p-19", "0x1.ffffc00000000p-1", "-0x1.bb67800000000p-1", "0x1.bb67800000000p-1"]
-    assert box.intervals.ravel().tolist() == [float.fromhex(x) for x in want]
+def test_oracle_aabb_stops_at_the_spacing_of_far_coordinates():
+    # Translated by 1e8, the floats near a coordinate lie 1.5e-8 apart,
+    # wider than the stop width of 2e-9: each bisection stops when its
+    # midpoint rounds to an end of the bracket, one spacing inside at most.
+    T = 1e8
+    M = DiskSystem.from_arrays([[T, T], [T + 1.0, T]], [1.0, 1.0])
+    box = oracle_aabb(M)
+    half = math.sqrt(3.0) / 2.0
+    inward = (box.intervals - [[T, T + 1.0], [T - half, T + half]]) * [1.0, -1.0]
+    assert np.all(inward >= 0.0) and np.all(inward <= np.spacing(T + 1.0)), inward
 
 
 def test_oracle_aabb_tangent_point(tangent_point_system):
-    box = oracle_aabb(tangent_point_system)
-    np.testing.assert_allclose(
-        box.intervals, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]], atol=1e-3
-    )
+    # mu = 1 to within the slack: the box is the minimax point.
+    _assert_box_matches(oracle_aabb(tangent_point_system), tangent_point_system, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+def test_power_of_two_scaling_keeps_the_box_bits():
+    # The scales of tests/test_invariance.py: oracle_minimax keeps its bits
+    # under them, and the slices are bisected in units of a power of two at
+    # least the span, so scaling by 2^k scales the box bit for bit.
+    rng = np.random.default_rng(643)
+    systems = [random_system(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5))) for _ in range(6)]
+    systems += [DiskSystem.from_arrays(*DEGENERATE[name]) for name in sorted(DEGENERATE)]
+    for M in systems:
+        want = oracle_aabb(M)
+        for k in POWERS:
+            factor = 2.0**k
+            got = oracle_aabb(DiskSystem.from_arrays(M.centers * factor, M.radii * factor))
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got.intervals, want.intervals * factor)
 
 
 def test_oracle_aabb_empty(empty_quad_system):
@@ -301,9 +324,8 @@ def test_minimax_brackets_the_rips_scale_in_1d():
 
 
 def test_oracle_aabb_is_the_common_interval_in_1d():
-    # phi(t) = max_i (|t - c_i| - r_i) is at least t's distance to the
-    # common interval [L, U], so each bisected end is within bisect_tol of
-    # it inside and within accept <= 2 feas_eps outside.
+    # A point t's slice meets every interval iff t lies in the common
+    # interval [L, U], so each bisected end is within the stop width of it.
     for M in _one_dimensional_systems():
         c, r = M.centers[:, 0], M.radii
         lo, hi = float(np.max(c - r)), float(np.min(c + r))
@@ -311,6 +333,4 @@ def test_oracle_aabb_is_the_common_interval_in_1d():
         if hi < lo:
             assert box is None
             continue
-        scale = 1.0 + float(np.max(r)) + float(np.ptp(c))
-        bisect_tol, feas_eps = 1e-6 * scale, 1e-8 * scale  # oracle_aabb's own
-        np.testing.assert_allclose(box.intervals, [[lo, hi]], rtol=0, atol=bisect_tol + 2 * feas_eps)
+        np.testing.assert_allclose(box.intervals, [[lo, hi]], rtol=0, atol=AABB_STOP * float(span(M.centers, r)))
