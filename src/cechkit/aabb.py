@@ -78,8 +78,8 @@ def aabb_minimal(M: DiskSystem, tol: float = DEFAULT_TOL) -> Box | None:
     contained in all m disks (with tolerance), and takes the per-axis
     envelope: lower bound from retained south poles, upper bound from
     retained north poles.  A single-point boundary intersection counts for
-    every axis and orientation.  A disjoint pair retains nothing, so it
-    returns None before any enumeration (:func:`pole_walk`).
+    every axis and orientation.  A certified-empty system, such as one with
+    a disjoint pair, returns None before any enumeration (:func:`pole_walk`).
     """
     return pole_envelope(pole_walk(M, tol), M.dimension)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DEFAULT_TOL, DiskSystem, PoleEngine, center_distances, check_tol, combination_rows,
-                       contains_all_batch, disjoint_pair, gram_rows, span)
+                       contains_all_batch, gram_rows, span)
 
 
 def jung_factor(d: int) -> float:
@@ -94,11 +94,10 @@ def candidate_poles(engine: PoleEngine, M: DiskSystem):
 
 def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
     """The :func:`candidate_poles` blocks of M on a new engine, or none when
-    M has a disjoint pair (:func:`disjoint_pair`) or is certified empty
-    (:func:`certified_empty`): then no candidate would be retained, the
-    decision is FALSE and there is no box."""
+    M is certified empty (:func:`certified_empty`), a disjoint pair included:
+    then no candidate would be retained, the decision is FALSE, with no box."""
     check_tol(tol)
-    if disjoint_pair(M, tol) or certified_empty(M, tol):
+    if certified_empty(M, tol):
         return ()
     return candidate_poles(PoleEngine(M.centers, tol=tol), M)
 
@@ -127,7 +126,7 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     Enumerates the poles of every i-sphere arising from boundary
     intersections of up to min(m, d) disks (:class:`PoleEngine`); the first
     pole contained in all m disks is the witness.  Single-point boundary
-    intersections are their own witness candidates.  A disjoint pair or a certificate decides
+    intersections are their own witness candidates.  A certificate decides
     FALSE before any enumeration, with no warning (:func:`pole_walk`); a
     FALSE walk warns when it skipped a subset in doubt (:func:`_first_witness`).
     """
@@ -234,8 +233,9 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     additions); the test thus implies N > rho^2 R F-hat^2 (1 - u)^(d + 10),
     which is at least rho^2 g^2 R when F-hat >= 1 + (d + 10) u to first
     order.  F's own rounding costs 2 u, and the last 2 u of its (d + 14) u
-    hold the second-order terms.  Its 1e-12 is the factor of the
-    disjoint-pair exit, so a pair basis certifies no sooner than that exit.
+    hold the second-order terms.  The nu pair at its touching point, the
+    first basis of :func:`cech_basis`, has N / R = nu^2: it certifies once nu >
+    rho (1 + 1e-12) (1 + (d + 14) u + (d + 4) 2^-49 (r_0 + r_1)^2 / (r_0 r_1)).
 
     N / R is at most the squared Cech scale mu^2 of the basis, and equal to
     it for the barycentric coordinates of the basis's minimax point (the KKT
@@ -260,16 +260,18 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
 
 
 def certified_empty(M: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
-    """Whether :func:`dual_bound`, on the basis of :func:`cech_basis`,
-    proves at M's own scale that no point passes containment in every disk.
-
-    By Jung's bound the Cech scale is at most sqrt(2d/(d+1)) nu, so when
-    that is at most 1 nothing can be certified and no search runs.
+    """Whether :func:`dual_bound` proves, on some round of the search of
+    :func:`cech_basis`, that no point of M passes containment in every disk.
+    The search stops at the first round that certifies; the first, the nu
+    pair, decides a disjoint pair.  By Jung's bound the Cech scale is at
+    most sqrt(2d/(d+1)) nu, so when that is at most 1 no bound is computed.
     """
-    if jung_factor(M.dimension) * rips_scale(M) <= 1.0:
-        return False
-    _, basis, weights = cech_basis(M)
-    return dual_bound(M, basis, weights, tol)(1.0)
+    for scale, basis, weights in _basis_rounds(M):
+        if jung_factor(M.dimension) * scale <= 1.0:  # only the first round: scales rise
+            return False
+        if dual_bound(M, basis, weights, tol)(1.0):
+            return True
+    return False
 
 
 def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,6 +316,30 @@ def subset_roots(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np
     return _meets(centers, radii, rows)[0]
 
 
+def _basis_rounds(M: DiskSystem):
+    """``(scale, basis, weights)`` at the top of each round of :func:`cech_basis`."""
+    scale, basis = _widest_pair(M.centers, M.radii)
+    weights = M.radii[basis[::-1]] / M.radii[basis].sum()  # the pair's touching point
+    while True:
+        yield scale, basis, weights
+        point = weights @ M.centers[basis] / weights.sum()
+        ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii
+        ratios[basis] = -np.inf  # a member lies farther than the scale only by rounding
+        far = int(np.argmax(ratios))
+        if not ratios[far] > scale:
+            return
+        members, rose = np.sort(np.append(basis, far)), False
+        for j in range(3, min(len(members), M.dimension + 1) + 1):
+            rows = members[combination_rows(len(members), j)]
+            roots, bary = _meets(M.centers, M.radii, rows)
+            top = int(np.argmax(np.fmax(roots, -np.inf)))
+            if roots[top] > scale:
+                scale, basis, rose = float(roots[top]), rows[top], True
+                weights = np.append(bary[top], 1.0 - bary[top].sum())
+        if not rose:
+            return
+
+
 def cech_basis(M: DiskSystem) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact Cech scale of M, with a basis that attains it.
 
@@ -330,25 +356,8 @@ def cech_basis(M: DiskSystem) -> tuple[float, np.ndarray, np.ndarray]:
     it, and the barycentric coordinates, on its centers, of its minimax
     point.
     """
-    scale, basis = _widest_pair(M.centers, M.radii)
-    weights = M.radii[basis[::-1]] / M.radii[basis].sum()  # the pair's touching point
-    while True:
-        point = weights @ M.centers[basis] / weights.sum()
-        ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii
-        ratios[basis] = -np.inf  # a member lies farther than the scale only by rounding
-        far = int(np.argmax(ratios))
-        if not ratios[far] > scale:
-            return scale, basis, weights
-        members, rose = np.sort(np.append(basis, far)), False
-        for j in range(3, min(len(members), M.dimension + 1) + 1):
-            rows = members[combination_rows(len(members), j)]
-            roots, bary = _meets(M.centers, M.radii, rows)
-            top = int(np.argmax(np.fmax(roots, -np.inf)))
-            if roots[top] > scale:
-                scale, basis, rose = float(roots[top]), rows[top], True
-                weights = np.append(bary[top], 1.0 - bary[top].sum())
-        if not rose:
-            return scale, basis, weights
+    *_, last = _basis_rounds(M)
+    return last
 
 
 def exact_cech_scale(M: DiskSystem) -> float:

@@ -276,14 +276,6 @@ def center_distances(centers: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(diff, axis=2))
 
 
-def disjoint_pair(system: DiskSystem, tol: float = DEFAULT_TOL) -> bool:
-    """Whether no point can pass :func:`contains_all_batch` for some pair of
-    disks: their center distance exceeds the sum of the two reaches by a
-    factor 1 + 1e-12, enough for the rounding of every distance involved."""
-    reach = _reach(system.radii, tol)
-    return bool((center_distances(system.centers) > (reach[:, None] + reach) * (1.0 + 1e-12)).any())
-
-
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Which of an (n, d) array of points lie in every disk (with tolerance).
 

@@ -35,11 +35,10 @@ UNIT_ROUNDOFF = 2.0**-53
 class OracleConfig:
     initial_grid: int = 16
     refinement_rounds: int = 6
-    shrink_factor: float = 4.0
 
     def __post_init__(self):
-        if self.initial_grid < 2 or self.refinement_rounds < 1 or self.shrink_factor <= 1:
-            raise ValueError("oracle config values must be positive (grid >= 2, shrink > 1)")
+        if self.initial_grid < 2 or self.refinement_rounds < 1:
+            raise ValueError("oracle config values must be positive (grid >= 2, rounds >= 1)")
 
 
 # oracle_aabb bisects each box end to a bracket of this fraction of the
@@ -63,8 +62,7 @@ def _grid_refine(objective, lower, upper, cfg: OracleConfig, lipschitz: float):
     within half a Lipschitz cell diagonal of the round minimum; for a convex
     objective that box is certified to contain the true minimizer, so the
     final value is within lipschitz * ||final step|| / 2 of the minimum.
-    ``shrink_factor`` caps the per-round shrink.  Returns
-    (best value, best point, final per-axis step, per-round best values).
+    Returns (best value, best point, final per-axis step, per-round best values).
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -90,7 +88,7 @@ def _grid_refine(objective, lower, upper, cfg: OracleConfig, lipschitz: float):
         near = np.nonzero(values <= float(values[idx]) + margin)
         new_lo = np.maximum([axis[i].min() for axis, i in zip(axes, near)] - step, lo)
         new_hi = np.minimum([axis[i].max() for axis, i in zip(axes, near)] + step, hi)
-        floor = (hi - lo) / cfg.shrink_factor  # cap the per-round shrink
+        floor = (hi - lo) / 4.0  # cap the per-round shrink
         mid = 0.5 * (new_lo + new_hi)
         new_lo = np.minimum(new_lo, mid - 0.5 * floor)
         new_hi = np.maximum(new_hi, mid + 0.5 * floor)

@@ -9,9 +9,10 @@ package walks.  The subsets of d+1 disks stay candidates here, so every
 comparison also checks that they add nothing to the package's answers.
 Its consumers below keep the semantics of the package's decision, minimal box
 and SVG picture, and of the filtration before its subsystems were bisected in
-lockstep.  The loop forms of :func:`cechkit.geometry.preprocess` and
-:func:`cechkit.geometry.disjoint_pair` are kept here as well, and the full
-subset enumeration of the exact Cech scale.
+lockstep.  The loop form of :func:`cechkit.geometry.preprocess` is kept
+here as well, with the disjoint-pair rule that the package's first
+certificate round (:func:`cechkit.cech.certified_empty`) replaced, and the
+full subset enumeration of the exact Cech scale.
 """
 
 import math
@@ -107,7 +108,9 @@ def retained_pole_points(M, tol=DEFAULT_TOL):
 
 def disjoint_pair(M, tol=DEFAULT_TOL):
     """Whether some pair's center distance exceeds the sum of the two
-    containment reaches r + tol * r by the factor 1 + 1e-12."""
+    containment reaches r + tol * r by the factor 1 + 1e-12.  The package's
+    pair round certifies a little above this (:func:`cechkit.cech.dual_bound`);
+    in between it walks the pair and keeps nothing."""
     reach = [r + tol * r for r in M.radii]
     return any(
         math.dist(M.centers[i], M.centers[j]) > (reach[i] + reach[j]) * (1.0 + 1e-12)

@@ -354,7 +354,8 @@ def test_empty_system_inverts_box_intersection():
 
 
 # ---------------------------------------------------------------------------
-# The disjoint-pair exit of is_cech_system, aabb_minimal and render_svg
+# The pair round of certified_empty: is_cech_system, aabb_minimal and
+# render_svg decide a disjoint pair without a walk
 # ---------------------------------------------------------------------------
 
 
@@ -389,7 +390,11 @@ def test_disjoint_pair_exit_at_its_threshold(monkeypatch):
     calls = _counting_candidate_poles(monkeypatch)
     # Two unit disks at distance dist along (0.6, 0.8): each reaches
     # b = 1 + tol, and their tangent point passes containment up to a
-    # distance of about 2 b, just below the exit's threshold 2 b (1 + 1e-12).
+    # distance of about 2 b.  The first round of certified_empty, the pair
+    # weighted at its touching point, certifies above 2 b (1 + 1e-12) times
+    # 1 + (d + 14) u + (d + 4) 2^-49 (r_0 + r_1)^2 / (r_0 r_1), about
+    # 1 + 4.4e-14 here (cechkit.cech.dual_bound).  That lies between the
+    # offsets -1e-13 and 1e-13; at -1e-13 the walk runs and keeps nothing.
     threshold = 2.0 * (1.0 + DEFAULT_TOL) * (1.0 + 1e-12)
     boxes = {}
     for offset in (-2e-12, -1e-13, 1e-13, 1e-12):
@@ -400,7 +405,8 @@ def test_disjoint_pair_exit_at_its_threshold(monkeypatch):
         decision = is_cech_system(M)
         assert decision.is_cech == (boxes[offset] is not None), offset
         assert not decision.degeneracy_warning
-        # Below the threshold the decision, aabb_minimal and render_svg enumerate.
+        # Below the pair round's threshold the decision, aabb_minimal and
+        # render_svg enumerate.
         assert len(calls) == (3 if offset < 0 else 0), offset
     assert boxes[-2e-12] is not None
     assert boxes[-1e-13] is None and boxes[1e-13] is None and boxes[1e-12] is None

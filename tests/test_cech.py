@@ -23,9 +23,9 @@ from cechkit import (
 )
 from cechkit.cech import certified_empty
 from cechkit.cli import render_svg
-from cechkit.geometry import disjoint_pair
 from cechkit.oracle import oracle_minimax
 from conftest import DEGENERATE, assert_in_bracket, lattice_systems, random_system, scalings
+from reference_poles import disjoint_pair
 
 SQRT2 = math.sqrt(2.0)
 

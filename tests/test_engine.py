@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cechkit.cech
+import cechkit.geometry
 import reference_poles as ref
 from cechkit import (
     DEFAULT_TOL,
@@ -185,10 +186,10 @@ def test_warnings_follow_the_doubt_floor(name):
     # Above the floor the skip is in doubt: the box warns, and so does a
     # FALSE decision that walks, just beyond the containment reach of the
     # exact scale where the certificate cannot reach; a TRUE decision and a
-    # certified or disjoint-pair FALSE never warn.  Walks visit subsets of
-    # at most d disks, whose moved subsets are triples: a 2-D pair's Gram
-    # ratio is 1, and a coplanar quadruple in 3-D is not walked, so only
-    # the 3-D triples warn.
+    # certified FALSE, a disjoint pair's included, never warn.  Walks visit
+    # subsets of at most d disks, whose moved subsets are triples: a 2-D
+    # pair's Gram ratio is 1, and a coplanar quadruple in 3-D is not walked,
+    # so only the 3-D triples warn.
     doubted = []
     for eps in NEAR_EPSILONS:
         M = near_dependent(name, eps)
@@ -418,8 +419,8 @@ def test_cech_scale_falls_back_when_the_exact_scale_is_wrong(monkeypatch, wrong)
     # than the upper end alone.  From a scale above the true one every step
     # up to it is decided.  Either way the report is the reference's.  The
     # basis is the true one, so its certificates stay sound; a decision is
-    # a walk or a certified FALSE.  certified_empty uses only the basis, so
-    # the wrong scale reaches cech_scale alone.
+    # a walk or a certified FALSE.  certified_empty runs the search's rounds
+    # itself, not cech_basis, so the wrong scale reaches cech_scale alone.
     basis = cechkit.cech.cech_basis
 
     def wrong_basis(M):
@@ -532,6 +533,94 @@ def test_certificate_fires_on_hollow_systems(monkeypatch):
         assert decision.degeneracy_warning == want.degeneracy_warning
         assert box is None and ref.aabb_minimal(M) is None
         assert svg is None or svg == ref.render_svg(M)
+
+
+def test_pair_round_certifies_above_its_threshold():
+    # Pairs at center distance (r0 + r1)(1 + tol)(1 + 1e-12)(1 + k e), in
+    # 1-3 dimensions, at radius ratios up to 10^3 and translated; e is the
+    # pair round's excess to first order (cechkit.cech.dual_bound).  Every pair whose stored floats lie above
+    # 1.01 e is certified; none is that the reference's disjoint-pair rule
+    # still walks; and a pair in the band between the two, which the rule
+    # calls disjoint and the round does not certify, walks and keeps
+    # nothing, so its answers are those of a certificate.
+    rng = np.random.default_rng(389)
+    above = band = 0
+    for d in (1, 2, 3):
+        for _ in range(150):
+            r0 = 10.0 ** rng.uniform(-3.0, 3.0)
+            r1 = r0 * 10.0 ** rng.uniform(-3.0, 3.0)
+            excess = (d + 14) * 2.0**-53 + (d + 4) * 2.0**-49 * (r0 + r1) ** 2 / (r0 * r1)
+            direction = rng.normal(size=d)
+            direction /= np.linalg.norm(direction)
+            shift = rng.uniform(-10.0, 10.0, d) * (r0 + r1)
+            for k in np.linspace(-3.0, 3.0, 13):
+                dist = (r0 + r1) * (1.0 + DEFAULT_TOL) * (1.0 + 1e-12) * (1.0 + k * excess)
+                M = DiskSystem.from_arrays([shift, shift + dist * direction], [r0, r1])
+                # nu^2 of the stored floats, exactly, against the threshold.
+                (c0, c1), (s0, s1) = M.centers, M.radii
+                sq = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(c0, c1))
+                reach = (Fraction(s0) + Fraction(s1)) * (1 + Fraction(DEFAULT_TOL)) * (1 + Fraction(1e-12))
+                certified, disjoint = cechkit.cech.certified_empty(M), ref.disjoint_pair(M)
+                if sq > (reach * (1 + Fraction(1.01 * excess))) ** 2:
+                    above += 1
+                    assert certified
+                assert disjoint or not certified
+                if disjoint and not certified:
+                    band += 1
+                    assert _keeps_nothing(M)
+    assert above > 1000 and band > 500
+
+
+def test_one_distance_matrix_per_answer(monkeypatch):
+    # A decision, a box and a picture each build the m x m matrix of center
+    # distances once, for the nu pair that the basis search starts from, on
+    # disjoint, TRUE and hollow systems alike.
+    built = []
+    original = cechkit.geometry.center_distances
+
+    def counting(centers):
+        built.append(len(centers))
+        return original(centers)
+
+    monkeypatch.setattr(cechkit.geometry, "center_distances", counting)
+    monkeypatch.setattr(cechkit.cech, "center_distances", counting)
+    for M in _bisecting_systems(np.random.default_rng(383), 1):
+        nu, mu = rips_scale(M), exact_cech_scale(M)
+        for lam in (0.9 * nu, 0.5 * (nu + mu), 1.01 * mu, 1.3 * jung_factor(M.dimension) * nu):
+            N = rescale(M, lam)
+            for answer in (is_cech_system, aabb_minimal) + ((render_svg,) if M.dimension == 2 else ()):
+                built.clear()
+                answer(N)
+                assert built == [len(N)], (answer.__name__, lam / nu)
+
+
+def test_certificate_stops_at_the_first_round_that_certifies(monkeypatch):
+    # On 3-D hollow systems the certificate takes no more closed-form roots
+    # than the basis search to its end, and fewer when an earlier round
+    # than the last certifies.
+    calls = []
+    original = cechkit.cech._meets
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cechkit.cech, "_meets", counting)
+    rng = np.random.default_rng(379)
+    systems = [hollow_simplex_system(rng, 3) for _ in range(3)]
+    for M in _bisecting_systems(rng, 4):
+        if M.dimension == 3:
+            systems.append(rescale(M, 0.5 * (rips_scale(M) + exact_cech_scale(M))))
+    fewer = 0
+    for M in systems:
+        calls.clear()
+        assert cechkit.cech.certified_empty(M)
+        certifying = len(calls)
+        calls.clear()
+        cechkit.cech.cech_basis(M)
+        assert certifying <= len(calls)
+        fewer += certifying < len(calls)
+    assert fewer >= 1
 
 
 def test_exact_scale_within_bisection_bracket_on_random_systems():

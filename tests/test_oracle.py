@@ -29,8 +29,6 @@ def test_config_validation():
         OracleConfig(initial_grid=1)
     with pytest.raises(ValueError):
         OracleConfig(refinement_rounds=0)
-    with pytest.raises(ValueError):
-        OracleConfig(shrink_factor=1.0)
 
 
 def test_minimax_equilateral(equilateral_system):
