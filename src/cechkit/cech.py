@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEFAULT_TOL, DiskSystem, PoleEngine, center_distances, check_tol, combination_rows,
-                       contains_all_batch, gram_rows, span)
+from .geometry import (DEFAULT_TOL, DiskSystem, center_distances, check_tol, combination_rows, contains_all_batch,
+                       gram_rows, pole_block, span)
 
 
 def jung_factor(d: int) -> float:
@@ -70,9 +70,8 @@ def rescale(M: DiskSystem, lam: float) -> DiskSystem:
     return DiskSystem.from_arrays(M.centers, M.radii * lam)
 
 
-def candidate_poles(engine: PoleEngine, M: DiskSystem):
-    """Every pole candidate of ``engine``, tested against M (whose centers
-    are the engine's).
+def candidate_poles(M: DiskSystem, tol: float = DEFAULT_TOL):
+    """Every pole candidate of M, tested against M.
 
     Yields one block ``(subsets, index, points, inside, doubtful)`` per
     subset size, in canonical order: subset size ascending, subsets
@@ -83,23 +82,23 @@ def candidate_poles(engine: PoleEngine, M: DiskSystem):
     ``doubtful`` says that a row was skipped in doubt
     (:func:`cechkit.geometry.gram_rows`).  A single-point boundary
     intersection contributes its point for every axis and orientation.
-    Subset size is capped at min(m, d) (:class:`cechkit.geometry.PoleEngine`).
+    Subset size is capped at min(m, d) (:func:`cechkit.geometry.pole_block`).
     """
-    d = engine.dimension
-    for j in range(1, engine.max_size + 1):
-        rows, index, points, doubtful = engine.block(j, M.radii)
-        inside = contains_all_batch(M, points.reshape(-1, d), engine.tol)
+    d = M.dimension
+    for j in range(1, min(len(M), d) + 1):
+        rows, index, points, doubtful = pole_block(M.centers, M.radii, j, tol)
+        inside = contains_all_batch(M, points.reshape(-1, d), tol)
         yield rows, index, points, inside, doubtful
 
 
 def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
-    """The :func:`candidate_poles` blocks of M on a new engine, or none when
-    M is certified empty (:func:`certified_empty`), a disjoint pair included:
-    then no candidate would be retained, the decision is FALSE, with no box."""
+    """The :func:`candidate_poles` blocks of M, or none when M is certified
+    empty (:func:`certified_empty`), a disjoint pair included: then no
+    candidate would be retained, the decision is FALSE, with no box."""
     check_tol(tol)
     if certified_empty(M, tol):
         return ()
-    return candidate_poles(PoleEngine(M.centers, tol=tol), M)
+    return candidate_poles(M, tol)
 
 
 def _first_witness(blocks):
@@ -124,7 +123,7 @@ def is_cech_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> CechDecision:
     """Decide whether all disks of M share a common point.
 
     Enumerates the poles of every i-sphere arising from boundary
-    intersections of up to min(m, d) disks (:class:`PoleEngine`); the first
+    intersections of up to min(m, d) disks (:func:`pole_block`); the first
     pole contained in all m disks is the witness.  Single-point boundary
     intersections are their own witness candidates.  A certificate decides
     FALSE before any enumeration, with no warning (:func:`pole_walk`); a
@@ -166,15 +165,13 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     lo = hi = nu
     iterations, warn, witness = 0, False, M.centers[0].copy()
     if nu > 0.0:
-        # Rescaling keeps the centers, so one engine serves every walk; each
-        # scale is decided once, and the upper end and second pass reuse it.
-        engine = PoleEngine(M.centers, tol=tol)
+        # Each scale is decided once; the upper end and second pass reuse it.
         mu, basis, weights = cech_basis(M)
         certifies = dual_bound(M, basis, weights, tol)
 
         @functools.cache
         def decide(lam):
-            return _first_witness(() if certifies(lam) else candidate_poles(engine, rescale(M, lam)))
+            return _first_witness(() if certifies(lam) else candidate_poles(rescale(M, lam), tol))
 
         witness = decide(nu)[1]
         if witness is None:

@@ -138,7 +138,7 @@ def _run(compute, args) -> int:
         source = fh.read()
     fmt = args.input_format
     if fmt == "auto":
-        fmt = "json" if args.input.endswith(".json") else "csv"
+        fmt = "json" if args.input.lower().endswith(".json") else "csv"
     M = parse_disk_system(source, fmt)
     label = range(len(M))
     if args.preprocess:

@@ -466,25 +466,6 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     return M.subsystem(kept), kept
 
 
-@dataclass(frozen=True)
-class _SizeBatch:
-    """Radius-free data of the j-subsets (2 <= j <= d) of an engine's disks:
-    ``rows`` lists the C(m, j) subsets, ``deficient`` marks those with
-    affinely dependent centers (placeholders in the other fields),
-    ``doubtful`` says that one of them is in doubt (:func:`gram_rows`), and
-    ``offsets[s, 2q]`` and ``offsets[s, 2q + 1]`` are the unit steps from
-    the center to the e_q-south and e_q-north poles."""
-
-    rows: np.ndarray
-    deficient: np.ndarray
-    doubtful: bool
-    members: np.ndarray
-    normals: np.ndarray
-    gram: np.ndarray
-    sq_norms: np.ndarray
-    offsets: np.ndarray
-
-
 def combination_rows(k: int, j: int) -> np.ndarray:
     """The (C(k, j), j) array of the j-subsets of range(k), lexicographic."""
     n = math.comb(k, j)
@@ -521,93 +502,62 @@ def gram_rows(centers: np.ndarray, rows: np.ndarray):
     return members, normals, gram, ~deficient, doubtful
 
 
-class PoleEngine:
-    """Pole candidates of every subset of up to min(m, d) disks.
+def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFAULT_TOL):
+    """Pole candidates of the size-j subsets of the disks (``centers``, ``radii``).
 
-    No larger subset adds one: d+1 spheres with independent centers meet in
-    at most one point, which lies on the 0-sphere of each d-subset, and both
-    points of a 0-sphere are its poles on each axis not orthogonal to them.
+    Returns ``(rows, index, points, doubtful)``: the (C(m, j), j) index rows
+    of the size, the ascending indices into them of the subsets that yield
+    candidates, their (n, 2d, d) points (2d poles, or one point 2d times),
+    and whether a subset was skipped in doubt (:func:`gram_rows`).
 
-    The Gram matrices, their rank test and the pole directions depend on the
-    centers only; they are computed once per subset size, on first use, and
-    reused for any radii (every bisection step of :func:`cech_scale`).  Each
-    radius-dependent block costs one batched solve.
-
-    A subset with affinely dependent centers yields no candidate: each
-    extra sphere equation is linear in the point and either implied by, or
-    inconsistent with, those of a maximal independent subset, so its
-    boundary intersection is empty or that of a subset enumerated anyway.
-    Only a skip in doubt (:func:`gram_rows`) can lose a candidate.
+    Sizes above min(m, d) add no candidate: d+1 spheres with independent
+    centers meet in at most one point, which lies on the 0-sphere of each
+    d-subset, and both points of a 0-sphere are its poles on each axis not
+    orthogonal to them.  A subset with affinely dependent centers yields no
+    candidate either: each extra sphere equation is linear in the point and
+    either implied by, or inconsistent with, those of a maximal independent
+    subset, so its boundary intersection is empty or that of a subset
+    enumerated anyway.  Only a skip in doubt can lose a candidate.
     """
-
-    def __init__(self, centers: np.ndarray, tol: float = DEFAULT_TOL):
-        self.centers = np.asarray(centers, dtype=float)
-        m, d = self.centers.shape
-        self.dimension = d
-        self.max_size = min(m, d)
-        self.tol = tol
-        self._sizes: dict[int, _SizeBatch] = {}
-
-    def _size(self, j: int) -> _SizeBatch:
-        batch = self._sizes.get(j)
-        if batch is None:
-            batch = self._sizes[j] = self._prepare(combination_rows(len(self.centers), j))
-        return batch
-
-    def _prepare(self, rows: np.ndarray) -> _SizeBatch:
-        """Radius-free data of an (N, j) array of disk index rows."""
-        d, j = self.dimension, rows.shape[1]
-        members, normals, gram, full, doubtful = gram_rows(self.centers, rows)
+    m, d = centers.shape
+    if j == 1:
+        # Every disk boundary: c -/+ r e_q per axis.
+        points = np.repeat(centers[:, None, :], 2 * d, axis=1).reshape(-1, d, 2, d)
+        axes = np.arange(d)
+        points[:, axes, 0, axes] -= radii[:, None]
+        points[:, axes, 1, axes] += radii[:, None]
+        index = np.arange(len(points))
+        return index[:, None], index, points.reshape(-1, 2 * d, d), False
+    rows = combination_rows(m, j)
+    members, normals, gram, full, doubtful = gram_rows(centers, rows)
+    rad = radii[rows]
+    sq = rad**2
+    rhs = 0.5 * (sq[:, -1:] + np.sum(normals**2, axis=2) - sq[:, :-1])
+    lam = np.linalg.solve(gram, rhs[..., None])
+    center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
+    diff = center[:, None, :] - members
+    diff *= diff
+    r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
+    tol_sq = tol * span(members, rad) ** 2
+    # The rules of reduce_sphere_system on each subset, with its own span:
+    # a point within tol_sq of zero radius, a sphere above it, else empty.
+    sphere = full & (r2 > tol_sq)
+    index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
+    points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
+    if sphere.any():
+        normals = normals[sphere]
         # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
-        proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
+        proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram[sphere], normals)
         norms = np.linalg.norm(proj, axis=1)
-        flat = norms <= 2.0 * self.tol  # as in poles_general
+        flat = norms <= 2.0 * tol  # as in poles_general
         unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
         offsets = np.stack([-unit, unit], axis=2)
         # A degenerate axis (e_q in the span of the normals): pi_q is
         # constant on the sphere, so both poles are one sphere point, the
         # step along the first tangent direction (ISphere.tangent_basis).
-        s, q = np.nonzero(flat & full[:, None])
+        s, q = np.nonzero(flat)
         if len(s):
             offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
-        return _SizeBatch(rows=rows, deficient=~full, doubtful=bool(doubtful.any()), members=members, normals=normals,
-                          gram=gram, sq_norms=np.sum(normals**2, axis=2), offsets=offsets.reshape(-1, 2 * d, d))
-
-    def block(self, j: int, radii: np.ndarray):
-        """Candidates of the size-j subsets for the (m,) ``radii``.
-
-        Returns ``(rows, index, points, doubtful)``: the (C(m, j), j) index
-        rows of the size, the ascending indices into them of the subsets that
-        yield candidates, their (n, 2d, d) points (2d poles, or one point 2d
-        times), and whether a subset was skipped in doubt (:func:`gram_rows`).
-        """
-        d, tol = self.dimension, self.tol
-        if j == 1:
-            # Every disk boundary: c -/+ r e_q per axis.
-            points = np.repeat(self.centers[:, None, :], 2 * d, axis=1).reshape(-1, d, 2, d)
-            axes = np.arange(d)
-            points[:, axes, 0, axes] -= radii[:, None]
-            points[:, axes, 1, axes] += radii[:, None]
-            index = np.arange(len(points))
-            return index[:, None], index, points.reshape(-1, 2 * d, d), False
-        batch = self._size(j)
-        full, members, normals = ~batch.deficient, batch.members, batch.normals
-        rad = radii[batch.rows]
-        sq = rad**2
-        rhs = 0.5 * (sq[:, -1:] + batch.sq_norms - sq[:, :-1])
-        lam = np.linalg.solve(batch.gram, rhs[..., None])
-        center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
-        diff = center[:, None, :] - members
-        diff *= diff
-        r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
-        tol_sq = tol * span(members, rad) ** 2
-        # The rules of reduce_sphere_system on each subset, with its own span:
-        # a point within tol_sq of zero radius, a sphere above it, else empty.
-        sphere = full & (r2 > tol_sq)
-        index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
-        points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
-        if sphere.any():
-            points[sphere[index]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * batch.offsets[sphere]
-        return batch.rows, index, points, batch.doubtful
-
-
+        offsets = offsets.reshape(-1, 2 * d, d)
+        points[sphere[index]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * offsets
+    return rows, index, points, bool(doubtful.any())

@@ -1,4 +1,4 @@
-"""Per-subset pole enumeration: the reference the batched pole engine is tested against.
+"""Per-subset pole enumeration: the reference the batched pole blocks are tested against.
 
 One :func:`reduce_sphere_system` call per subset, then :func:`poles_general`
 per axis for spheres, one :class:`Pole` per candidate and one

@@ -436,3 +436,11 @@ def test_input_format_override(tmp_path, capsys):
     path = tmp_path / "disks.txt"
     path.write_text('{"dimension": 2, "disks": [[0, 0, 1]]}')
     assert main(["check", "--input-format", "json", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("name", ["disks.json", "disks.JSON", "disks.Json"])
+def test_auto_input_format_reads_json_for_any_case_of_suffix(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text('{"dimension": 2, "disks": [[0, 0, 1], [1, 0, 1]]}')
+    assert main(["check", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""

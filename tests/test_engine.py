@@ -1,5 +1,6 @@
-"""Batched pole engine against the per-subset reference enumeration, and
-exact scales against the brackets of bisection."""
+"""Batched pole blocks (:func:`cechkit.geometry.pole_block`) against the
+per-subset reference enumeration, and exact scales against the brackets of
+bisection."""
 
 import json
 from fractions import Fraction
@@ -25,7 +26,7 @@ from cechkit import (
 )
 from cechkit.cech import candidate_poles
 from cechkit.cli import parse_disk_system, render_svg
-from cechkit.geometry import CONTAINS_CHUNK, PoleEngine, combination_rows, gram_rows
+from cechkit.geometry import CONTAINS_CHUNK, combination_rows, gram_rows, pole_block
 from conftest import (DEGENERATE, FACTORS, NEAR_DEPENDENT, NEAR_EPSILONS, assert_in_bracket, hollow_simplex_system,
                       lattice_systems, near_dependent, near_dependent_systems, random_system, scale_reach, scalings)
 
@@ -67,7 +68,7 @@ def test_engine_matches_reference_on_random_systems(d):
 def test_engine_matches_reference_across_contains_chunks():
     rng = np.random.default_rng(332)
     M = random_system(rng, 2, 32)
-    largest = max(points.shape[0] * points.shape[1] for _, _, points, _, _ in candidate_poles(PoleEngine(M.centers), M))
+    largest = max(points.shape[0] * points.shape[1] for _, _, points, _, _ in candidate_poles(M))
     assert largest > CONTAINS_CHUNK
     nu = rips_scale(M)
     for factor in (1.05, 1.3):
@@ -86,10 +87,10 @@ def test_engine_classifies_each_subset_with_its_own_span(gap):
     # of their boundary intersection is about -gap, beyond tol times their
     # own span squared (9e-9) and within tol times the system's (about
     # 1e-5, disk 2 has radius 100).  So the pair is empty (gap > 0) or a
-    # sphere (gap < 0), never a point, in the engine as in the reference.
+    # sphere (gap < 0), never a point, in pole_block as in the reference.
     M = DiskSystem.from_arrays([[0.0, 0.0], [2.0 + gap, 0.0], [1.0, 0.0]], [1.0, 1.0, 100.0])
     got = {}
-    for subsets, index, points, _, _ in candidate_poles(PoleEngine(M.centers), M):
+    for subsets, index, points, _, _ in candidate_poles(M):
         got.update(zip(map(tuple, subsets[index]), points))
     want = {subset: np.array([p.point for p in entries]) for subset, entries, _ in ref.candidate_poles(M) if entries}
     assert got.keys() == want.keys()
@@ -99,6 +100,28 @@ def test_engine_classifies_each_subset_with_its_own_span(gap):
     if gap < 0.0:
         assert np.ptp(want[0, 1][:, 1]) > 1e-3
     _assert_same(M)
+
+
+def test_pole_block_rows_keep_their_bits_in_any_subsystem():
+    # Each row's arithmetic reads only its own disks, whichever stack holds
+    # it: the walk of a sorted subset S of the disks yields, for every row
+    # of S, the bits of the same disks' row in the walk of all m disks, and
+    # loses none of the rows within S.
+    rng = np.random.default_rng(372)
+    checked = 0
+    for _ in range(300):
+        d, m = int(rng.integers(2, 4)), int(rng.integers(4, 20))
+        M = random_system(rng, d, m)
+        S = np.sort(rng.choice(m, int(rng.integers(2, m)), replace=False))
+        for j in range(1, min(len(S), d) + 1):
+            rows, index, points, _ = pole_block(M.centers, M.radii, j)
+            whole = {tuple(rows[i]): p for i, p in zip(index, points)}
+            rows, index, points, _ = pole_block(M.centers[S], M.radii[S], j)
+            part = {tuple(S[rows[i]]): p for i, p in zip(index, points)}
+            assert part.keys() == {row for row in whole if set(row) <= set(S)}
+            assert all(p.tobytes() == whole[row].tobytes() for row, p in part.items())
+            checked += len(part)
+    assert checked > 8000
 
 
 def test_pair_too_close_to_square_is_dependent():
@@ -319,9 +342,9 @@ def _record_walks(monkeypatch):
     cechkit.cech, the reference bisection's decisions included."""
     walks = []
 
-    def recorded(engine, N):
+    def recorded(N, tol):
         walks.append(N.radii)
-        return candidate_poles(engine, N)
+        return candidate_poles(N, tol)
 
     monkeypatch.setattr(cechkit.cech, "candidate_poles", recorded)
     return walks
@@ -466,8 +489,8 @@ def _near_band_bases():
 
 
 def _keeps_nothing(M):
-    """Whether a full walk of M on a fresh engine retains no candidate."""
-    return not any(inside.any() for *_, inside, _ in candidate_poles(PoleEngine(M.centers), M))
+    """Whether a full walk of M retains no candidate."""
+    return not any(inside.any() for *_, inside, _ in candidate_poles(M))
 
 
 def _answers(M):

@@ -1,6 +1,7 @@
 """Brute-force oracle: minimax value and its certified slack, decision and
 the AABB bisected on slice decisions."""
 
+import ast
 import math
 import tracemalloc
 
@@ -22,6 +23,19 @@ from cechkit.geometry import span
 from cechkit.oracle import AABB_STOP, _grid_refine
 from conftest import DEGENERATE, lattice_systems, random_system, scalings
 from test_invariance import POWERS
+
+
+def test_oracle_imports_only_the_disk_system_and_the_box_from_the_package():
+    # The oracle checks the production algorithms, so it must use none of
+    # them: only the input type and the output type it shares with them.
+    # Every import in the module counts, those inside functions too.
+    imported = set()
+    for node in ast.walk(ast.parse(open(oracle.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "cechkit"):
+            imported |= {("." * node.level + (node.module or ""), alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "cechkit"}
+    assert imported == {(".aabb", "Box"), (".geometry", "DiskSystem")}
 
 
 def test_config_validation():
