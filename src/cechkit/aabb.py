@@ -94,7 +94,7 @@ def pole_envelope(blocks, d: int) -> Box | None:
     lows, highs = np.full(d, np.inf), np.full(d, -np.inf)
     kept_min, kept_max = np.full(d, np.inf), np.full(d, -np.inf)
     warn = False
-    for _, _, points, inside, doubtful in blocks:
+    for _, points, inside, doubtful in blocks:
         warn = warn or doubtful
         kept = points.reshape(-1, d)[inside]
         if not len(kept):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DEFAULT_TOL, DiskSystem, center_distances, check_tol, combination_rows, contains_all_batch,
-                       gram_rows, pole_block, span)
+                       gram_rows, pole_block, span, squared_distances)
 
 
 def jung_factor(d: int) -> float:
@@ -73,22 +73,20 @@ def rescale(M: DiskSystem, lam: float) -> DiskSystem:
 def candidate_poles(M: DiskSystem, tol: float = DEFAULT_TOL):
     """Every pole candidate of M, tested against M.
 
-    Yields one block ``(subsets, index, points, inside, doubtful)`` per
-    subset size, in canonical order: subset size ascending, subsets
-    lexicographic, axes ascending, south before north.  ``subsets`` holds
-    all C(m, j) index rows of the size; ``index`` picks the n rows that
-    yield candidates, ``points`` (n, 2d, d) are their candidates and
-    ``inside`` the flat mask of those contained in every disk of M;
-    ``doubtful`` says that a row was skipped in doubt
+    Yields one block ``(subsets, points, inside, doubtful)`` per subset
+    size, in canonical order: subset size ascending, subsets lexicographic,
+    axes ascending, south before north.  ``subsets`` holds the (n, j) index
+    rows of the size that yield candidates, ``points`` (n, 2d, d) are their
+    candidates and ``inside`` the flat mask of those contained in every
+    disk of M; ``doubtful`` says that a row was skipped in doubt
     (:func:`cechkit.geometry.gram_rows`).  A single-point boundary
     intersection contributes its point for every axis and orientation.
     Subset size is capped at min(m, d) (:func:`cechkit.geometry.pole_block`).
     """
     d = M.dimension
     for j in range(1, min(len(M), d) + 1):
-        rows, index, points, doubtful = pole_block(M.centers, M.radii, j, tol)
-        inside = contains_all_batch(M, points.reshape(-1, d), tol)
-        yield rows, index, points, inside, doubtful
+        subsets, points, doubtful = pole_block(M.centers, M.radii, j, tol)
+        yield subsets, points, contains_all_batch(M, points.reshape(-1, d), tol), doubtful
 
 
 def pole_walk(M: DiskSystem, tol: float = DEFAULT_TOL):
@@ -110,11 +108,11 @@ def _first_witness(blocks):
     doubt.  A witness passed containment in every disk: it never warns.
     """
     warn = False
-    for subsets, index, points, inside, doubtful in blocks:
+    for subsets, points, inside, doubtful in blocks:
         hits = np.flatnonzero(inside)
         if hits.size:
             _, width, d = points.shape
-            return subsets[index[hits[0] // width]], points.reshape(-1, d)[hits[0]].copy(), False
+            return subsets[hits[0] // width], points.reshape(-1, d)[hits[0]].copy(), False
         warn = warn or doubtful
     return None, None, warn
 
@@ -204,9 +202,10 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     x_i = fl(lam r_i) <= lam r_i (1 + u), and the containment test accepts
     p for disk i when fl(||p - c_i||) <= fl(x_i + fl(tol x_i)).  The right
     side is at most lam r_i (1 + tol) (1 + u)^3, and the left side at least
-    ||p - c_i|| (1 - u)^((d + 4) / 2) (the differences, their squares,
-    d - 1 additions and the square root).  So every accepted p has, for
-    every disk i,
+    ||p - c_i|| (1 - u)^((d + 4) / 2): the square root of
+    :func:`cechkit.geometry.squared_distances`, which rounds the
+    differences, their squares and d - 1 additions, in that order.  So
+    every accepted p has, for every disk i,
 
         ||p - c_i|| / r_i <= rho g,  rho = lam (1 + tol),
         g = (1 + u)^3 / (1 - u)^((d + 4) / 2).
@@ -246,7 +245,7 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     centers = centers - centers[-1]
     b = weights / weights.sum()
     mean = b @ centers
-    spread = float(b @ np.sum((mean - centers) ** 2, axis=1) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1)))
+    spread = float(b @ squared_distances(mean, centers) - (d + 4) * 2.0**-48 * np.max(np.sum(centers**2, axis=1)))
     power, factor = float(b @ (radii / unit) ** 2), 1.0 + 1e-12 + (d + 14) * 2.0**-53
 
     def certifies(lam: float) -> bool:
@@ -320,7 +319,7 @@ def _basis_rounds(M: DiskSystem):
     while True:
         yield scale, basis, weights
         point = weights @ M.centers[basis] / weights.sum()
-        ratios = np.sqrt(np.sum((M.centers - point) ** 2, axis=1)) / M.radii
+        ratios = np.sqrt(squared_distances(point, M.centers)) / M.radii
         ratios[basis] = -np.inf  # a member lies farther than the scale only by rounding
         far = int(np.argmax(ratios))
         if not ratios[far] > scale:

@@ -248,7 +248,7 @@ def render_svg(M: DiskSystem, tol: float = DEFAULT_TOL) -> str:
             f'width="{max(w, 1.0):.2f}" height="{max(h, 1.0):.2f}" '
             f'fill="none" stroke="crimson" stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
-    for _, _, points, inside, _ in blocks:
+    for _, points, inside, _ in blocks:
         for x, y in points.reshape(-1, 2)[inside]:
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="crimson"/>')
     parts.append("</svg>")

@@ -245,6 +245,16 @@ class Pole:
 # ---------------------------------------------------------------------------
 
 
+def squared_distances(points, centers) -> np.ndarray:
+    """||p - c||^2 of (..., d) ``points`` to (..., m, d) ``centers``, shape
+    (..., m) by broadcasting: an (n, d) array against one (m, d) array gives
+    (n, m).  Every point-to-center distance of the package is the square
+    root of this one plain sum of squares, so equal inputs give equal bits."""
+    diff = points[..., None, :] - centers
+    diff *= diff
+    return np.add.reduce(diff, axis=-1)
+
+
 def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
     """Closed membership test with tolerance: ||p - c|| <= r + tol r, the
     test of :func:`contains_all_batch` on the one disk."""
@@ -254,7 +264,7 @@ def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
             f"point dimension {p.size} != disk dimension {disk.dimension}"
         )
     check_tol(tol)
-    return float(np.linalg.norm(p - disk.center)) <= _reach(disk.radius, tol)
+    return bool(np.sqrt(squared_distances(p, disk.center[None]))[0] <= _reach(disk.radius, tol))
 
 
 def _reach(radii, tol: float):
@@ -265,15 +275,8 @@ def _reach(radii, tol: float):
 
 
 def center_distances(centers: np.ndarray) -> np.ndarray:
-    """(m, m) matrix of ||c_i - c_j||.
-
-    The arithmetic of np.linalg.norm over an axis, the square root of a
-    plain sum of squares, so every entry is bit-reproducible by the naive
-    per-pair formula.
-    """
-    diff = centers[:, None, :] - centers
-    diff *= diff
-    return np.sqrt(np.add.reduce(diff, axis=2))
+    """(m, m) matrix of ||c_i - c_j||."""
+    return np.sqrt(squared_distances(centers, centers))
 
 
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -285,10 +288,8 @@ def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFA
     bound = _reach(system.radii, tol)
     inside = np.empty(len(points), dtype=bool)
     for start in range(0, len(points), CONTAINS_CHUNK):
-        diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers
-        diff *= diff
-        # The arithmetic of np.linalg.norm(diff, axis=2), without its copies.
-        inside[start : start + CONTAINS_CHUNK] = (np.sqrt(np.add.reduce(diff, axis=2)) <= bound).all(axis=1)
+        distances = np.sqrt(squared_distances(points[start : start + CONTAINS_CHUNK], system.centers))
+        inside[start : start + CONTAINS_CHUNK] = (distances <= bound).all(axis=1)
     return inside
 
 
@@ -347,7 +348,7 @@ def intersect_two_spheres(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> Inter
     if c1.size != c2.size:
         raise DimensionMismatch("disk dimensions differ")
     diff = c2 - c1
-    dist = float(np.linalg.norm(diff))
+    dist = math.sqrt(squared_distances(c2, c1[None])[0])
     scale = tol * float(span((c1, c2), (r1, r2)))
     if dist <= scale:
         if abs(r1 - r2) <= scale:
@@ -382,7 +383,7 @@ def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> Intersectio
     _require_full_rank(gram, f"affinely dependent centers (Gram rank {{rank}} < {m - 1})")
     lam = np.linalg.solve(gram, rhs)
     center = lam @ N + base
-    r2_all = M.radii**2 - np.sum((center - M.centers) ** 2, axis=1)
+    r2_all = M.radii**2 - squared_distances(center, M.centers)
     r2 = float(np.mean(r2_all))
     tol_sq = tol * float(span(M.centers, M.radii)) ** 2
     if r2 < -tol_sq:
@@ -456,8 +457,7 @@ def preprocess(M: DiskSystem, tol: float = DEFAULT_TOL) -> tuple[DiskSystem, tup
     c, r = M.centers, M.radii
     dist = center_distances(c)
     # Each pair is tested with the tolerance of its own two disks.
-    pairs = np.stack(np.indices((len(r), len(r))), axis=-1)
-    scale = tol * span(c[pairs], r[pairs])
+    scale = tol * (np.abs(c[:, None] - c).max(axis=2) + np.maximum.outer(r, r))  # span of each pair
     identical = (dist <= scale) & (np.abs(r[:, None] - r[None, :]) <= scale)
     # Entry (i, j) drops D_j: a later duplicate of D_i, or a disk containing
     # D_i (redundant for the intersection).
@@ -505,10 +505,10 @@ def gram_rows(centers: np.ndarray, rows: np.ndarray):
 def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFAULT_TOL):
     """Pole candidates of the size-j subsets of the disks (``centers``, ``radii``).
 
-    Returns ``(rows, index, points, doubtful)``: the (C(m, j), j) index rows
-    of the size, the ascending indices into them of the subsets that yield
-    candidates, their (n, 2d, d) points (2d poles, or one point 2d times),
-    and whether a subset was skipped in doubt (:func:`gram_rows`).
+    Returns ``(subsets, points, doubtful)``: the (n, j) index rows, in
+    lexicographic order, of the subsets that yield candidates, their
+    (n, 2d, d) points (2d poles, or one point 2d times), and whether a
+    subset was skipped in doubt (:func:`gram_rows`).
 
     Sizes above min(m, d) add no candidate: d+1 spheres with independent
     centers meet in at most one point, which lies on the 0-sphere of each
@@ -526,8 +526,7 @@ def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFA
         axes = np.arange(d)
         points[:, axes, 0, axes] -= radii[:, None]
         points[:, axes, 1, axes] += radii[:, None]
-        index = np.arange(len(points))
-        return index[:, None], index, points.reshape(-1, 2 * d, d), False
+        return np.arange(m)[:, None], points.reshape(-1, 2 * d, d), False
     rows = combination_rows(m, j)
     members, normals, gram, full, doubtful = gram_rows(centers, rows)
     rad = radii[rows]
@@ -535,15 +534,13 @@ def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFA
     rhs = 0.5 * (sq[:, -1:] + np.sum(normals**2, axis=2) - sq[:, :-1])
     lam = np.linalg.solve(gram, rhs[..., None])
     center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
-    diff = center[:, None, :] - members
-    diff *= diff
-    r2 = np.add.reduce(sq - np.add.reduce(diff, axis=2), axis=1) / j  # np.mean's arithmetic
+    r2 = np.add.reduce(sq - squared_distances(center, members), axis=1) / j  # np.mean's arithmetic
     tol_sq = tol * span(members, rad) ** 2
     # The rules of reduce_sphere_system on each subset, with its own span:
     # a point within tol_sq of zero radius, a sphere above it, else empty.
     sphere = full & (r2 > tol_sq)
-    index = np.flatnonzero(sphere | (full & (np.abs(r2) <= tol_sq)))
-    points = np.repeat(center[index][:, None, :], 2 * d, axis=1)
+    kept = sphere | (full & (np.abs(r2) <= tol_sq))
+    points = np.repeat(center[kept][:, None, :], 2 * d, axis=1)
     if sphere.any():
         normals = normals[sphere]
         # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
@@ -559,5 +556,5 @@ def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFA
         if len(s):
             offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
         offsets = offsets.reshape(-1, 2 * d, d)
-        points[sphere[index]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * offsets
-    return rows, index, points, bool(doubtful.any())
+        points[sphere[kept]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * offsets
+    return rows[kept], points, bool(doubtful.any())

@@ -68,7 +68,7 @@ def test_engine_matches_reference_on_random_systems(d):
 def test_engine_matches_reference_across_contains_chunks():
     rng = np.random.default_rng(332)
     M = random_system(rng, 2, 32)
-    largest = max(points.shape[0] * points.shape[1] for _, _, points, _, _ in candidate_poles(M))
+    largest = max(points.shape[0] * points.shape[1] for _, points, _, _ in candidate_poles(M))
     assert largest > CONTAINS_CHUNK
     nu = rips_scale(M)
     for factor in (1.05, 1.3):
@@ -90,8 +90,8 @@ def test_engine_classifies_each_subset_with_its_own_span(gap):
     # sphere (gap < 0), never a point, in pole_block as in the reference.
     M = DiskSystem.from_arrays([[0.0, 0.0], [2.0 + gap, 0.0], [1.0, 0.0]], [1.0, 1.0, 100.0])
     got = {}
-    for subsets, index, points, _, _ in candidate_poles(M):
-        got.update(zip(map(tuple, subsets[index]), points))
+    for subsets, points, _, _ in candidate_poles(M):
+        got.update(zip(map(tuple, subsets), points))
     want = {subset: np.array([p.point for p in entries]) for subset, entries, _ in ref.candidate_poles(M) if entries}
     assert got.keys() == want.keys()
     for subset, points in want.items():
@@ -114,10 +114,10 @@ def test_pole_block_rows_keep_their_bits_in_any_subsystem():
         M = random_system(rng, d, m)
         S = np.sort(rng.choice(m, int(rng.integers(2, m)), replace=False))
         for j in range(1, min(len(S), d) + 1):
-            rows, index, points, _ = pole_block(M.centers, M.radii, j)
-            whole = {tuple(rows[i]): p for i, p in zip(index, points)}
-            rows, index, points, _ = pole_block(M.centers[S], M.radii[S], j)
-            part = {tuple(S[rows[i]]): p for i, p in zip(index, points)}
+            subsets, points, _ = pole_block(M.centers, M.radii, j)
+            whole = {tuple(row): p for row, p in zip(subsets, points)}
+            subsets, points, _ = pole_block(M.centers[S], M.radii[S], j)
+            part = {tuple(S[row]): p for row, p in zip(subsets, points)}
             assert part.keys() == {row for row in whole if set(row) <= set(S)}
             assert all(p.tobytes() == whole[row].tobytes() for row, p in part.items())
             checked += len(part)

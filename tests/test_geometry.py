@@ -1,5 +1,6 @@
 """Disk membership, sphere intersections, poles and preprocessing."""
 
+import ast
 import math
 import sys
 
@@ -21,13 +22,19 @@ from cechkit import (
     build_filtration,
     cech_scale,
     contains,
+    exact_cech_scale,
     intersect_two_spheres,
+    is_cech_system,
     poles_codim1,
     poles_general,
     preprocess,
     reduce_sphere_system,
+    rescale,
 )
+import cechkit.cech
+import cechkit.geometry
 import reference_poles as ref
+from cechkit.geometry import contains_all_batch
 from conftest import random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -65,6 +72,110 @@ def test_contains_tangency_point(tangent_point_system):
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         contains(Disk(np.zeros(2), 1.0), [0.0, 0.0, 0.0])
+
+
+def test_contains_accepts_every_witness_of_the_walk():
+    # The walk's witness passed contains_all_batch in every disk, so the
+    # public test must accept it in each disk at the same tol, tol 0
+    # included, where a distance one ulp longer would reject it.
+    rng = np.random.default_rng(5)
+    witnesses, rejected = 0, []
+    for n in range(3000):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+        M = random_system(rng, d, m)
+        M = rescale(M, 1.0001 * exact_cech_scale(M))
+        for tol in (0.0, 1e-12, 1e-9):
+            decision = is_cech_system(M, tol)
+            if decision.is_cech:
+                witnesses += 1
+                rejected += [(n, tol, i) for i in range(m) if not contains(M[i], decision.witness, tol)]
+    assert rejected == []
+    assert witnesses > 8000
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+def test_contains_is_the_batch_test_on_one_disk(tol):
+    # Points on the reach r (1 + tol) of a disk and a few ulps inside and
+    # outside it: contains(disk, p) is the batch test of the one-disk system.
+    rng = np.random.default_rng(257)
+    outcomes = set()
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        disk = Disk(rng.uniform(-2.0, 2.0, d), float(rng.uniform(0.1, 3.0)))
+        u = rng.standard_normal((1, d))
+        reach = disk.radius + tol * disk.radius
+        points = disk.center + u / np.linalg.norm(u) * reach * (1.0 + np.arange(-4, 5)[:, None] * 2.0**-53)
+        batch = contains_all_batch(DiskSystem((disk,)), points, tol)
+        assert [contains(disk, p, tol) for p in points] == batch.tolist()
+        outcomes.update(batch[3:6])
+    assert outcomes == {True, False}
+
+
+def _distance_spellings(source):
+    """(function, line) of each point-to-center distance that ``source``
+    spells outside ``squared_distances``: np.linalg.norm of a difference of
+    two arrays or of a name bound to one, such a difference raised to ** 2,
+    or an in-place square x *= x."""
+
+    def difference(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and all(isinstance(side, (ast.Name, ast.Attribute, ast.Subscript)) for side in (node.left, node.right)))
+
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name == "squared_distances":
+            continue
+        nodes = list(ast.walk(func))
+        bound = {target.id for node in nodes if isinstance(node, ast.Assign) and difference(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm"):
+                arg = node.args[0]
+                spelt = difference(arg) or (isinstance(arg, ast.Name) and arg.id in bound)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                spelt = difference(node.left) and ast.unparse(node.right) == "2"
+            else:
+                spelt = (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                         and ast.unparse(node.target) == ast.unparse(node.value))
+            if spelt:
+                found.add((func.name, node.lineno))
+    return found
+
+
+# The spelling each distance had before the kernel: (module, function,
+# kernel call, old code).
+OLD_SPELLINGS = [
+    (cechkit.geometry, "contains", "bool(np.sqrt(squared_distances(p, disk.center[None]))[0] <=",
+     "bool(float(np.linalg.norm(p - disk.center)) <="),
+    (cechkit.geometry, "center_distances", "return np.sqrt(squared_distances(centers, centers))",
+     "diff = centers[:, None, :] - centers\n    diff *= diff\n    return np.sqrt(np.add.reduce(diff, axis=2))"),
+    (cechkit.geometry, "contains_all_batch",
+     "distances = np.sqrt(squared_distances(points[start : start + CONTAINS_CHUNK], system.centers))",
+     "diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers\n"
+     "        diff *= diff\n        distances = np.sqrt(np.add.reduce(diff, axis=2))"),
+    (cechkit.geometry, "intersect_two_spheres", "dist = math.sqrt(squared_distances(c2, c1[None])[0])",
+     "dist = float(np.linalg.norm(diff))"),
+    (cechkit.geometry, "reduce_sphere_system", "squared_distances(center, M.centers)",
+     "np.sum((center - M.centers) ** 2, axis=1)"),
+    (cechkit.geometry, "pole_block", "np.add.reduce(sq - squared_distances(center, members), axis=1)",
+     "np.add.reduce(sq - np.sum((center[:, None, :] - members) ** 2, axis=2), axis=1)"),
+    (cechkit.cech, "_basis_rounds", "np.sqrt(squared_distances(point, M.centers))",
+     "np.sqrt(np.sum((M.centers - point) ** 2, axis=1))"),
+    (cechkit.cech, "dual_bound", "b @ squared_distances(mean, centers)", "b @ np.sum((mean - centers) ** 2, axis=1)"),
+]
+
+
+@pytest.mark.parametrize("module", [cechkit.geometry, cechkit.cech], ids=["geometry", "cech"])
+def test_point_to_center_distances_go_through_the_kernel(module):
+    assert _distance_spellings(open(module.__file__, encoding="utf-8").read()) == set()
+
+
+@pytest.mark.parametrize("module, function, kernel, old", OLD_SPELLINGS, ids=[s[1] for s in OLD_SPELLINGS])
+def test_the_kernel_guard_finds_each_old_spelling(module, function, kernel, old):
+    # A copy of the module with one site restored to its old spelling.
+    source = open(module.__file__, encoding="utf-8").read()
+    assert source.count(kernel) == 1
+    assert [name for name, _ in _distance_spellings(source.replace(kernel, old))] == [function]
 
 
 # ---------------------------------------------------------------------------
