@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEFAULT_TOL, DiskSystem, center_distances, check_tol, combination_rows, contains_all_batch,
+from .geometry import (DEFAULT_TOL, DiskSystem, center_distances, check_tol, combination_rows, contains_all_batch, fold,
                        gram_rows, pole_block, span, squared_distances)
 
 
@@ -159,12 +159,12 @@ def cech_scale(M: DiskSystem, eta: float = 1e-6, tol: float = DEFAULT_TOL) -> Sc
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta}")
     check_tol(tol)
-    nu = rips_scale(M)
-    lo = hi = nu
+    rounds = list(_basis_rounds(M))  # the search of cech_basis: one distance matrix
+    lo = hi = nu = rounds[0][0]  # the nu pair's round: rips_scale(M)
     iterations, warn, witness = 0, False, M.centers[0].copy()
     if nu > 0.0:
         # Each scale is decided once; the upper end and second pass reuse it.
-        mu, basis, weights = cech_basis(M)
+        mu, basis, weights = rounds[-1]  # cech_basis(M)
         certifies = dual_bound(M, basis, weights, tol)
 
         @functools.cache
@@ -204,7 +204,7 @@ def dual_bound(M: DiskSystem, basis: np.ndarray, weights: np.ndarray, tol: float
     side is at most lam r_i (1 + tol) (1 + u)^3, and the left side at least
     ||p - c_i|| (1 - u)^((d + 4) / 2): the square root of
     :func:`cechkit.geometry.squared_distances`, which rounds the
-    differences, their squares and d - 1 additions, in that order.  So
+    differences, their squares and d - 1 additions in axis order, for any d.  So
     every accepted p has, for every disk i,
 
         ||p - c_i|| / r_i <= rho g,  rho = lam (1 + tol),
@@ -282,11 +282,11 @@ def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np
     members, normals, gram, full, _ = gram_rows(centers, rows)
     sq = radii[rows] ** 2
     # Columns: the constant part and the t-coefficient of the right-hand side.
-    rhs = 0.5 * np.stack([np.sum(normals**2, axis=2), sq[:, -1:] - sq[:, :-1]], axis=2)
+    rhs = 0.5 * np.stack([squared_distances(members[:, -1], members[:, :-1]), sq[:, -1:] - sq[:, :-1]], axis=2)
     coef = np.linalg.solve(gram, rhs)
     u, v = (coef.transpose(0, 2, 1) @ normals).transpose(1, 0, 2)
-    A, C = np.sum(v * v, axis=1), np.sum(u * u, axis=1)
-    B = sq[:, -1] - 2.0 * np.sum(u * v, axis=1)
+    A, C = fold(np.add, v * v), fold(np.add, u * u)
+    B = sq[:, -1] - 2.0 * fold(np.add, u * v)
     disc = B * B - 4.0 * A * C
     with np.errstate(invalid="ignore", divide="ignore"):
         # Cancellation-free smaller root; A = 0 (equal radii) gives C / B.

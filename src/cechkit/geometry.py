@@ -60,11 +60,26 @@ def check_tol(tol: float) -> None:
 
 def span(centers, radii):
     """The length unit of every tolerance: the largest per-axis spread of the
-    (m, d) ``centers`` plus the largest of the (m,) ``radii``.  Stacks of
-    systems, (..., m, d) and (..., m), give one span each."""
+    (m, d) ``centers`` plus the largest of the (m,) ``radii``."""
     # np.ptp and np.max, without their wrappers' cost on small arrays.
     maximum = np.maximum.reduce
     return maximum(maximum(centers, axis=-2) - np.minimum.reduce(centers, axis=-2), axis=-1) + maximum(radii, axis=-1)
+
+
+def row_spans(members, radii):
+    """:func:`span` of each system of an (N, j, d) stack with (N, j) radii, member
+    by member: max and min are exact, so the bits are those of span on each row."""
+    by_axis = members.transpose(0, 2, 1)
+    return fold(np.maximum, fold(np.maximum, by_axis) - fold(np.minimum, by_axis)) + fold(np.maximum, radii)
+
+
+def fold(ufunc, a):
+    """``ufunc.reduce`` over the last axis of ``a``, one slice at a time in axis order:
+    the same bits below 8 entries, at a fraction of a short-axis reduction's cost."""
+    total = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(total, a[..., k], out=total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +264,13 @@ def squared_distances(points, centers) -> np.ndarray:
     """||p - c||^2 of (..., d) ``points`` to (..., m, d) ``centers``, shape
     (..., m) by broadcasting: an (n, d) array against one (m, d) array gives
     (n, m).  Every point-to-center distance of the package is the square
-    root of this one plain sum of squares, so equal inputs give equal bits."""
-    diff = points[..., None, :] - centers
-    diff *= diff
-    return np.add.reduce(diff, axis=-1)
+    root of this one sum of squares, so equal inputs give equal bits.  The
+    squares are added in axis order, coordinate 0 first, one (..., m) slice
+    per coordinate: the order in which np.sum adds fewer than 8 entries."""
+    total = (points[..., None, 0] - centers[..., 0]) ** 2
+    for q in range(1, points.shape[-1]):
+        total += (points[..., None, q] - centers[..., q]) ** 2
+    return total
 
 
 def contains(disk: Disk, p, tol: float = DEFAULT_TOL) -> bool:
@@ -282,8 +300,8 @@ def center_distances(centers: np.ndarray) -> np.ndarray:
 def contains_all_batch(system: DiskSystem, points: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Which of an (n, d) array of points lie in every disk (with tolerance).
 
-    Points are tested CONTAINS_CHUNK at a time, so the (points x disks x d)
-    difference array stays bounded however many candidates there are.
+    Points are tested CONTAINS_CHUNK at a time, so the (points x disks)
+    distance arrays stay bounded however many candidates there are.
     """
     bound = _reach(system.radii, tol)
     inside = np.empty(len(points), dtype=bool)
@@ -531,11 +549,12 @@ def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFA
     members, normals, gram, full, doubtful = gram_rows(centers, rows)
     rad = radii[rows]
     sq = rad**2
-    rhs = 0.5 * (sq[:, -1:] + np.sum(normals**2, axis=2) - sq[:, :-1])
+    # A normal's squared length is its member's squared distance to the last.
+    rhs = 0.5 * (sq[:, -1:] + squared_distances(members[:, -1], members[:, :-1]) - sq[:, :-1])
     lam = np.linalg.solve(gram, rhs[..., None])
     center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
-    r2 = np.add.reduce(sq - squared_distances(center, members), axis=1) / j  # np.mean's arithmetic
-    tol_sq = tol * span(members, rad) ** 2
+    r2 = fold(np.add, sq - squared_distances(center, members)) / j  # np.mean's arithmetic, below 8 members
+    tol_sq = tol * row_spans(members, rad) ** 2
     # The rules of reduce_sphere_system on each subset, with its own span:
     # a point within tol_sq of zero radius, a sphere above it, else empty.
     sphere = full & (r2 > tol_sq)
@@ -545,7 +564,7 @@ def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFA
         normals = normals[sphere]
         # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
         proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram[sphere], normals)
-        norms = np.linalg.norm(proj, axis=1)
+        norms = np.sqrt(fold(np.add, (proj * proj).transpose(0, 2, 1)))  # the bits of np.linalg.norm(proj, axis=1)
         flat = norms <= 2.0 * tol  # as in poles_general
         unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
         offsets = np.stack([-unit, unit], axis=2)

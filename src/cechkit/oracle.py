@@ -100,8 +100,8 @@ def _grid_refine(objective, lower, upper, cfg: OracleConfig, lipschitz: float):
 def _squared_distances(coords, centers):
     """sum_q (x_q - c_iq)^2 for coordinate arrays x_q that broadcast together
     (a grid's open mesh, or a point list's columns), disks on the last axis.
-    A grid costs one (m, n) term per axis, added in axis order as np.sum adds
-    a point's coordinates, so the sums match those bit for bit.  The disks
+    A grid costs one (m, n) term per axis, added in axis order: for d <= 7 the
+    order in which np.sum adds a point's coordinates, bit for bit.  The disks
     run first in memory, where a max over them is an elementwise reduction.
     """
     total = sum(np.subtract.outer(centers[:, q], x) ** 2 for q, x in enumerate(coords))

@@ -23,6 +23,7 @@ from cechkit import (
 )
 from cechkit.cech import certified_empty
 from cechkit.cli import render_svg
+from cechkit.geometry import CONTAINS_CHUNK, contains_all_batch
 from cechkit.oracle import oracle_minimax
 from conftest import DEGENERATE, assert_in_bracket, lattice_systems, random_system, scalings
 from reference_poles import disjoint_pair
@@ -293,6 +294,20 @@ def _peak(f):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_containment_chunks_hold_no_coordinate_axis():
+    # d = 3, m = 48, 10^4 points: each chunk's arrays are (chunk, m).  At
+    # most four float ones are alive at once: the last chunk's distances and
+    # the kernel's sum, one coordinate's difference and its square.  Half a
+    # fifth holds numpy's buffers and the (n,) mask.  A (chunk, m, d)
+    # difference array takes d + 2 >= 5 of them.
+    rng = np.random.default_rng(11)
+    M = DiskSystem.from_arrays(rng.uniform(0.0, 1.0, (48, 3)), rng.uniform(0.9, 1.1, 48))
+    points = rng.uniform(-0.5, 1.5, (10**4, 3))
+    inside = contains_all_batch(M, points)
+    assert 0 < inside.sum() < len(points)
+    assert _peak(lambda: contains_all_batch(M, points)) < 4.5 * CONTAINS_CHUNK * 48 * 8 + len(points)
 
 
 def test_false_answers_build_no_subset_stack():

@@ -26,7 +26,7 @@ from cechkit import (
 )
 from cechkit.cech import candidate_poles
 from cechkit.cli import parse_disk_system, render_svg
-from cechkit.geometry import CONTAINS_CHUNK, combination_rows, gram_rows, pole_block
+from cechkit.geometry import CONTAINS_CHUNK, center_distances, combination_rows, gram_rows, pole_block
 from conftest import (DEGENERATE, FACTORS, NEAR_DEPENDENT, NEAR_EPSILONS, assert_in_bracket, hollow_simplex_system,
                       lattice_systems, near_dependent, near_dependent_systems, random_system, scale_reach, scalings)
 
@@ -327,6 +327,30 @@ def _scale_corpus():
         systems += [DiskSystem.from_arrays(M.centers * 10.0**k, M.radii * 10.0**k) for k in range(-6, 7)]
     systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
     return systems + [M for _, M in lattice_systems()]
+
+
+def test_cech_scale_builds_one_distance_matrix(monkeypatch):
+    # nu comes from the first round of the basis search, whose matrix it
+    # shares; every report keeps the bits of the bisection walked from
+    # rips_scale(M).
+    calls = []
+
+    def counted(centers):
+        calls.append(len(centers))
+        return center_distances(centers)
+
+    systems = [DiskSystem.from_arrays([[0.0, 0.0]], [1.0]), DiskSystem.from_arrays([[1.0, 2.0]] * 2, [1.0, 2.0])]
+    systems += [M for name in sorted(DEGENERATE) for M in scalings(*DEGENERATE[name])]
+    systems += [random_system(np.random.default_rng(353), d, m) for d in (1, 2, 3) for m in (2, 5, 9)]
+    bisected = 0
+    for M in systems:
+        calls.clear()
+        monkeypatch.setattr(cechkit.cech, "center_distances", counted)
+        report = cech_scale(M)
+        monkeypatch.undo()
+        assert calls == [len(M)]
+        bisected += _assert_same_report(M, 1e-6, report).iterations > 0
+    assert bisected >= 5
 
 
 @pytest.mark.parametrize("eta", [1e-6, 1e-12, 5e-324])

@@ -34,7 +34,7 @@ from cechkit import (
 import cechkit.cech
 import cechkit.geometry
 import reference_poles as ref
-from cechkit.geometry import contains_all_batch
+from cechkit.geometry import contains_all_batch, fold, row_spans, span, squared_distances
 from conftest import random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -157,8 +157,8 @@ OLD_SPELLINGS = [
      "dist = float(np.linalg.norm(diff))"),
     (cechkit.geometry, "reduce_sphere_system", "squared_distances(center, M.centers)",
      "np.sum((center - M.centers) ** 2, axis=1)"),
-    (cechkit.geometry, "pole_block", "np.add.reduce(sq - squared_distances(center, members), axis=1)",
-     "np.add.reduce(sq - np.sum((center[:, None, :] - members) ** 2, axis=2), axis=1)"),
+    (cechkit.geometry, "pole_block", "fold(np.add, sq - squared_distances(center, members))",
+     "fold(np.add, sq - np.sum((center[:, None, :] - members) ** 2, axis=2))"),
     (cechkit.cech, "_basis_rounds", "np.sqrt(squared_distances(point, M.centers))",
      "np.sqrt(np.sum((M.centers - point) ** 2, axis=1))"),
     (cechkit.cech, "dual_bound", "b @ squared_distances(mean, centers)", "b @ np.sum((mean - centers) ** 2, axis=1)"),
@@ -176,6 +176,81 @@ def test_the_kernel_guard_finds_each_old_spelling(module, function, kernel, old)
     source = open(module.__file__, encoding="utf-8").read()
     assert source.count(kernel) == 1
     assert [name for name, _ in _distance_spellings(source.replace(kernel, old))] == [function]
+
+
+def _old_kernel(points, centers):
+    """The kernel's spelling before it summed coordinate slices."""
+    diff = points[..., None, :] - centers
+    diff *= diff
+    return np.add.reduce(diff, axis=-1)
+
+
+def _left_to_right(points, centers):
+    """sum_q (p_q - c_q)^2, one coordinate at a time from q = 0, in Python floats."""
+    points, centers = np.broadcast_arrays(points[..., None, :], centers)
+    total = np.zeros(points.shape[:-1])
+    for index in np.ndindex(total.shape):
+        for p, c in zip(points[index].tolist(), centers[index].tolist()):
+            total[index] += (p - c) * (p - c)
+    return total
+
+
+def _kernel_shapes(rng, d):
+    """(points, centers) in the shapes the package passes the kernel:
+    (n, d) x (m, d), (N, d) x (N, j, d) and (d,) x (m, d)."""
+    yield rng.standard_normal((40, d)), rng.standard_normal((9, d)) * 3.0
+    yield rng.uniform(-1.0, 1.0, (30, d)), rng.uniform(-1.0, 1.0, (30, 3, d)) * 10.0 ** rng.integers(-8, 8, (30, 3, 1))
+    yield rng.standard_normal(d), rng.standard_normal((12, d))
+
+
+# Coordinate differences 1, x, x with 1 + x^2 = 1 and 1 + 2 x^2 > 1: only
+# the sum from coordinate 0 gives 1.  Numpy spells the row [1, 2^-53, 2^-53]
+# and below 8 entries adds it in this order.
+ADVERSARIAL = (1.0, 1.2 * 2.0**-27, 1.2 * 2.0**-27)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_kernel_adds_coordinates_in_axis_order(d):
+    # Bit for bit the old reduction for d <= 7; from 8 numpy adds pairwise,
+    # and the kernel keeps adding in axis order.
+    rng = np.random.default_rng(700 + d)
+    reference = _old_kernel if d <= 7 else _left_to_right
+    for points, centers in _kernel_shapes(rng, d):
+        got = squared_distances(points, centers)
+        assert got.shape == np.broadcast_shapes(points[..., None, :].shape, centers.shape)[:-1]
+        assert got.tobytes() == reference(points, centers).tobytes()
+    if d >= 3:
+        row = np.zeros((1, d))
+        row[0, :3] = ADVERSARIAL
+        got = squared_distances(row, np.zeros((1, d)))
+        assert got.tobytes() == reference(row, np.zeros((1, d))).tobytes()
+        assert got[0, 0] == 1.0 < 1.0 + 2 * ADVERSARIAL[1] ** 2
+        assert np.add.reduce(np.array([1.0, 2.0**-53, 2.0**-53])) == 1.0
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum])
+def test_fold_is_the_reduction_below_8_entries(ufunc):
+    rng = np.random.default_rng(709)
+    for k in range(1, 8):
+        a = rng.standard_normal((50, 4, k)) * 10.0 ** rng.integers(-20, 20, (50, 4, k))
+        assert fold(ufunc, a).tobytes() == ufunc.reduce(a, axis=-1).tobytes()
+        assert fold(ufunc, a[:, 1]).tobytes() == ufunc.reduce(a[:, 1], axis=-1).tobytes()
+    if ufunc is np.add:  # pole_block's column lengths
+        for d in range(1, 8):
+            proj = rng.standard_normal((50, d, d)) * 10.0 ** rng.integers(-20, 20, (50, d, d))
+            lengths = np.sqrt(fold(np.add, (proj * proj).transpose(0, 2, 1)))
+            assert lengths.tobytes() == np.linalg.norm(proj, axis=1).tobytes()
+
+
+def test_row_spans_are_the_span_of_each_row():
+    # pole_block's per-subset tolerance unit: span on each row, bit for bit.
+    rng = np.random.default_rng(710)
+    for d in range(1, 5):
+        for j in range(1, 6):
+            centers = rng.standard_normal((60, j, d)) * 10.0 ** rng.integers(-6, 6, (60, 1, 1))
+            radii = rng.uniform(0.1, 2.0, (60, j)) * 10.0 ** rng.integers(-6, 6, (60, 1))
+            want = [span(c, r) for c, r in zip(centers, radii)]
+            assert row_spans(centers, radii).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
