@@ -279,7 +279,7 @@ def _meets(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> tuple[np
     # no center overflows) leaves every later rounding unchanged.
     unit = 2.0 ** max(math.frexp(span(centers, radii))[1], 0)
     centers, radii = centers / unit, radii / unit
-    members, normals, gram, full, _ = gram_rows(centers, rows)
+    members, normals, gram, full, *_ = gram_rows(centers, rows)
     sq = radii[rows] ** 2
     # Columns: the constant part and the t-coefficient of the right-hand side.
     rhs = 0.5 * np.stack([squared_distances(members[:, -1], members[:, :-1]), sq[:, -1:] - sq[:, :-1]], axis=2)

@@ -134,7 +134,7 @@ def _run(compute, args) -> int:
     ``compute(args, M, label) -> (payload, text, negative, degenerate)``;
     ``label[i]`` is the input index of disk i of M, and a None payload means
     that compute wrote its output itself."""
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         source = fh.read()
     fmt = args.input_format
     if fmt == "auto":

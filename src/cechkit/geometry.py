@@ -211,9 +211,7 @@ class ISphere:
 
     def tangent_basis(self) -> np.ndarray:
         """Orthonormal basis of the tangent directions (rows)."""
-        k, d = self.normals.shape
-        _, _, vh = np.linalg.svd(self.normals, full_matrices=True)
-        return vh[k:]
+        return tangent_rows(self.normals)
 
 
 # Tagged union for the boundary intersection of a disk subsystem.
@@ -347,72 +345,127 @@ def _rank_deficient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return deficient, rank, ratio
 
 
-def _require_full_rank(gram: np.ndarray, message: str) -> None:
-    """Raise DegenerateConfiguration (``message`` may use ``{rank}``)."""
-    deficient, rank, _ = _rank_deficient(gram)
-    if deficient:
-        raise DegenerateConfiguration(message.format(rank=int(rank)), rank=int(rank))
+def gram_rows(centers: np.ndarray, rows: np.ndarray):
+    """Members, normals and Gram matrices of an (N, j) array of index rows.
 
-
-def intersect_two_spheres(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> IntersectionKind:
-    """Intersection of the two boundary spheres of d1 and d2.
-
-    Returns the (d-1)-sphere with center on the segment c1-c2, radius from
-    Heron's formula and single normal c2 - c1; tangency collapses to a
-    point, separation or strict containment to the empty set.
+    Normals are taken against the last member.  Returns ``(members,
+    normals, gram, full, doubtful, rank)``; ``full`` marks the full-rank
+    Gram matrices, ``rank`` is each matrix's rank (:func:`_rank_deficient`),
+    and the deficient matrices are replaced by identities so that batched
+    solves stay defined.  A deficient row is ``doubtful`` when rounding
+    cannot explain its rank test: its ratio exceeds the floor below, or is
+    NaN.
     """
-    c1, r1 = d1.center, d1.radius
-    c2, r2 = d2.center, d2.radius
-    if c1.size != c2.size:
-        raise DimensionMismatch("disk dimensions differ")
-    diff = c2 - c1
-    dist = math.sqrt(squared_distances(c2, c1[None])[0])
-    scale = tol * float(span((c1, c2), (r1, r2)))
-    if dist <= scale:
-        if abs(r1 - r2) <= scale:
-            raise FullSphereError("identical disks: boundary intersection is the full sphere")
-        return EmptyIntersection()
-    if dist > r1 + r2 + scale or dist < abs(r1 - r2) - scale:
-        return EmptyIntersection()
-    t = 0.5 + (r1 * r1 - r2 * r2) / (2.0 * dist * dist)
-    center = c1 + t * diff
-    if abs(dist - (r1 + r2)) <= scale or abs(dist - abs(r1 - r2)) <= scale:
-        return PointIntersection(center)
-    s = 0.5 * (dist + r1 + r2)
-    radius = 2.0 * math.sqrt(max(s * (s - dist) * (s - r1) * (s - r2), 0.0)) / dist
-    return SphereIntersection(ISphere(center, radius, diff[None, :]))
+    members = centers[rows]
+    normals = members[:, :-1] - members[:, -1:]
+    gram = normals @ normals.transpose(0, 2, 1)
+    deficient, rank, ratio = _rank_deficient(gram)
+    # The floor K u (u = 2^-53) bounds the computed ratio of k exactly
+    # dependent normals in R^d, with s = ||G-hat||_2 >= 2^-1022 and T =
+    # ||N-hat||_F^2 <= k s (1 + d u) / (1 - gamma_d), to first order in u:
+    # 1. each normal rounds once, which moves lambda_min by u^2 T at most;
+    # 2. each Gram entry sums d products: off by gamma_d ||n_a|| ||n_b||, and
+    #    u 2^-1022 <= u s per product that underflows, sigma_min moves by at
+    #    most gamma_d T + k d u s <= 2 k d u s (Weyl);
+    # 3. LAPACK's SVD is exact for G-hat + delta, ||delta||_2 <= 2 k^2 u s:
+    #    2k Householder reflections, each backward stable to about k u.
+    # So K = 2 k d + 2 k^2 + 1, whose 1 holds the second-order terms.
+    k, d = normals.shape[1:]
+    doubtful = deficient & ~(ratio <= (2 * k * d + 2 * k * k + 1) * 2.0**-53)
+    gram[deficient] = np.eye(k)
+    return members, normals, gram, ~deficient, doubtful, rank
+
+
+def subset_spheres(centers: np.ndarray, radii: np.ndarray, rows: np.ndarray, tol: float = DEFAULT_TOL):
+    """Boundary intersection of each disk subset of an (N, j) index array.
+
+    Solves each row's Gram system (:func:`gram_rows`) for the center in the
+    affine hull of its centers, base point its last member, and takes the
+    squared radius r^2 as the mean over the members of r_i^2 - ||c - c_i||^2.
+    Returns ``(normals, gram, center, r2, point, sphere, rank, doubtful)``:
+    ``point`` and ``sphere`` classify each row, and a row that is neither is
+    empty, or skipped when its rank is below j - 1.
+    """
+    j, d = rows.shape[1], centers.shape[1]
+    members, normals, gram, full, doubtful, rank = gram_rows(centers, rows)
+    rad = radii[rows]
+    sq = rad**2
+    # A normal's squared length is its member's squared distance to the last.
+    rhs = 0.5 * (sq[:, -1:] + squared_distances(members[:, -1], members[:, :-1]) - sq[:, :-1])
+    lam = np.linalg.solve(gram, rhs[..., None])
+    center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
+    r2 = fold(np.add, sq - squared_distances(center, members)) / j  # np.mean's arithmetic, below 8 members
+    tol_sq = tol * row_spans(members, rad) ** 2
+    # The one rule, with each subset's own span: a point within tol_sq of
+    # zero squared radius, a sphere above it, else empty.  j - 1 = d normals
+    # leave a zero-dimensional affine hull: either its one point lies on
+    # every sphere or nothing does.
+    point = full & (np.abs(r2) <= tol_sq)
+    sphere = full & (r2 > tol_sq) & (j <= d)
+    return normals, gram, center, r2, point, sphere, rank, doubtful
+
+
+def tangent_rows(normals: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions orthogonal to (..., k, d)
+    ``normals``: the last d - k right singular vectors."""
+    return np.linalg.svd(normals, full_matrices=True)[2][..., normals.shape[-2] :, :]
+
+
+def pole_offsets(normals: np.ndarray, gram: np.ndarray, tol: float = DEFAULT_TOL):
+    """Unit steps from the center of each sphere of an (n, k, d) stack of
+    independent normals, with their Gram matrices, to its 2d poles.
+
+    Returns ``(offsets, flat)``: (n, 2d, d) steps, south then north per axis,
+    and the (n, d) degenerate axes.  Column q of I - N^T (N N^T)^-1 N points
+    toward the e_q-north pole.  When its length is at most 2 tol (a
+    projected unit vector: no length unit), e_q lies in the span of the
+    normals, pi_q is constant on the sphere, and both steps are its first
+    tangent direction (:func:`tangent_rows`), or none when it has none.
+    """
+    k, d = normals.shape[1:]
+    proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram, normals)
+    norms = np.sqrt(fold(np.add, (proj * proj).transpose(0, 2, 1)))  # the bits of np.linalg.norm(proj, axis=1)
+    flat = norms <= 2.0 * tol
+    unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
+    offsets = np.stack([-unit, unit], axis=2)
+    s, q = np.nonzero(flat)
+    if len(s):
+        offsets[s, q] = tangent_rows(normals[s])[:, :1] if k < d else 0.0
+    return offsets.reshape(-1, 2 * d, d), flat
 
 
 def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> IntersectionKind:
-    """Common boundary intersection of 2 <= m <= d+1 disk boundaries.
-
-    Solves the Gram system for the center in the affine hull of the
-    centers (base point: last disk), recovers the squared radius as
-    r^2 = r_k^2 - ||c - c_k||^2, and classifies by the sign of r^2.
-    Normals are n_j = c_j - c_m, unnormalized.
-    """
+    """Common boundary intersection of 2 <= m <= d+1 disk boundaries: the
+    :func:`subset_spheres` row of all m disks, whose normals are
+    n_i = c_i - c_m, unnormalized.  Affinely dependent centers raise
+    DegenerateConfiguration with the Gram rank."""
     m, d = len(M), M.dimension
     if not 2 <= m <= d + 1:
         raise GeometryError(f"need 2 <= m <= d+1 disks, got m={m}, d={d}")
-    base = M.centers[-1]
-    N = M.centers[:-1] - base  # (m-1, d)
-    gram = N @ N.T
-    rhs = 0.5 * (M.radii[-1] ** 2 + np.sum(N * N, axis=1) - M.radii[:-1] ** 2)
-    _require_full_rank(gram, f"affinely dependent centers (Gram rank {{rank}} < {m - 1})")
-    lam = np.linalg.solve(gram, rhs)
-    center = lam @ N + base
-    r2_all = M.radii**2 - squared_distances(center, M.centers)
-    r2 = float(np.mean(r2_all))
-    tol_sq = tol * float(span(M.centers, M.radii)) ** 2
-    if r2 < -tol_sq:
+    normals, _, center, r2, point, sphere, rank, _ = subset_spheres(M.centers, M.radii, np.arange(m)[None], tol)
+    if rank[0] < m - 1:
+        raise DegenerateConfiguration(f"affinely dependent centers (Gram rank {rank[0]} < {m - 1})", rank=int(rank[0]))
+    if sphere[0]:
+        return SphereIntersection(ISphere(center[0], math.sqrt(r2[0]), normals[0]))
+    return PointIntersection(center[0]) if point[0] else EmptyIntersection()
+
+
+def intersect_two_spheres(d1: Disk, d2: Disk, tol: float = DEFAULT_TOL) -> IntersectionKind:
+    """Intersection of the two boundary spheres of d1 and d2:
+    :func:`reduce_sphere_system` of the pair, with the single normal c2 - c1.
+
+    Concentric disks meet nowhere, or in the whole sphere when their radii
+    agree within tol * span, as :func:`preprocess` deduplicates them.
+    """
+    try:
+        kind = reduce_sphere_system(DiskSystem((d1, d2)), tol)
+    except DegenerateConfiguration:
+        if abs(d1.radius - d2.radius) <= tol * float(span((d1.center, d2.center), (d1.radius, d2.radius))):
+            raise FullSphereError("identical disks: boundary intersection is the full sphere") from None
         return EmptyIntersection()
-    if r2 <= tol_sq or m - 1 == d:
-        # m-1 = d normals leave a zero-dimensional affine hull: either the
-        # base point lies on every sphere (a single point) or nothing does.
-        if r2 <= tol_sq:
-            return PointIntersection(center)
-        return EmptyIntersection()
-    return SphereIntersection(ISphere(center, math.sqrt(r2), N))
+    if isinstance(kind, SphereIntersection):
+        return SphereIntersection(ISphere(kind.sphere.center, kind.sphere.radius, -kind.sphere.normals))
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +474,22 @@ def reduce_sphere_system(M: DiskSystem, tol: float = DEFAULT_TOL) -> Intersectio
 
 
 def poles_general(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Pole, Pole]:
-    """e_q-poles of an i-sphere with k >= 0 linearly independent normals.
-
-    Solves the Gram system A w = -N e_q and moves along
-    u = e_q + sum_j w_j n_j, the projection of e_q onto the tangent space;
-    the poles are c +/- r u/||u||.  When e_q lies in the span of the
-    normals the axis is degenerate: pi_q is constant on the sphere, and both
-    poles are one on-sphere sample.
+    """e_q-poles of an i-sphere with k >= 0 linearly independent normals:
+    c -/+ r times column q of the walk's projection (:func:`pole_offsets`).
+    When e_q lies in the span of the normals the axis is degenerate: pi_q is
+    constant on the sphere, and both poles are one on-sphere sample.
     """
-    d = sphere.dimension
+    d, k = sphere.dimension, sphere.codimension
     if not 0 <= q < d:
         raise GeometryError(f"axis {q} out of range for dimension {d}")
-    N = sphere.normals
-    gram = N @ N.T
-    _require_full_rank(gram, "normals are linearly dependent")
-    u = np.linalg.solve(gram, -N[:, q]) @ N
-    u[q] += 1.0
-    c, r = sphere.center, sphere.radius
-    norm = float(np.linalg.norm(u))
-    if norm <= 2.0 * tol:  # the norm of a projected unit vector: no length unit
-        tangent = sphere.tangent_basis()
-        point = c + r * tangent[0] if r != 0.0 and len(tangent) else c
-        return Pole(point, q, SOUTH, degenerate_axis=True), Pole(point, q, NORTH, degenerate_axis=True)
-    unit = u / norm
-    return Pole(c - r * unit, q, SOUTH), Pole(c + r * unit, q, NORTH)
+    # Normals against a zero base point: gram_rows gives them back bit for bit.
+    _, normals, gram, _, _, rank = gram_rows(np.vstack([sphere.normals, np.zeros(d)]), np.arange(k + 1)[None])
+    if rank[0] < k:
+        raise DegenerateConfiguration(f"normals are linearly dependent (Gram rank {rank[0]} < {k})", rank=int(rank[0]))
+    offsets, flat = pole_offsets(normals, gram, tol)
+    south, north = sphere.center + sphere.radius * offsets[0, 2 * q : 2 * q + 2]
+    degenerate = bool(flat[0, q])
+    return Pole(south, q, SOUTH, degenerate), Pole(north, q, NORTH, degenerate)
 
 
 def poles_codim1(sphere: ISphere, q: int, tol: float = DEFAULT_TOL) -> tuple[Pole, Pole]:
@@ -490,54 +535,28 @@ def combination_rows(k: int, j: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(combinations(range(k), j)), np.intp, n * j).reshape(n, j)
 
 
-def gram_rows(centers: np.ndarray, rows: np.ndarray):
-    """Members, normals and Gram matrices of an (N, j) array of index rows.
-
-    Normals are taken against the last member, as in
-    :func:`reduce_sphere_system`.  Returns ``(members, normals, gram, full,
-    doubtful)``; ``full`` marks the full-rank Gram matrices, and the others
-    are replaced by identities so that batched solves stay defined.  A
-    deficient row is ``doubtful`` when rounding cannot explain its rank
-    test: its ratio exceeds the floor below, or is NaN.
-    """
-    members = centers[rows]
-    normals = members[:, :-1] - members[:, -1:]
-    gram = normals @ normals.transpose(0, 2, 1)
-    deficient, _, ratio = _rank_deficient(gram)
-    # The floor K u (u = 2^-53) bounds the computed ratio of k exactly
-    # dependent normals in R^d, with s = ||G-hat||_2 >= 2^-1022 and T =
-    # ||N-hat||_F^2 <= k s (1 + d u) / (1 - gamma_d), to first order in u:
-    # 1. each normal rounds once, which moves lambda_min by u^2 T at most;
-    # 2. each Gram entry sums d products: off by gamma_d ||n_a|| ||n_b||, and
-    #    u 2^-1022 <= u s per product that underflows, sigma_min moves by at
-    #    most gamma_d T + k d u s <= 2 k d u s (Weyl);
-    # 3. LAPACK's SVD is exact for G-hat + delta, ||delta||_2 <= 2 k^2 u s:
-    #    2k Householder reflections, each backward stable to about k u.
-    # So K = 2 k d + 2 k^2 + 1, whose 1 holds the second-order terms.
-    k, d = normals.shape[1:]
-    doubtful = deficient & ~(ratio <= (2 * k * d + 2 * k * k + 1) * 2.0**-53)
-    gram[deficient] = np.eye(k)
-    return members, normals, gram, ~deficient, doubtful
-
-
 def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFAULT_TOL):
     """Pole candidates of the size-j subsets of the disks (``centers``, ``radii``).
 
     Returns ``(subsets, points, doubtful)``: the (n, j) index rows, in
     lexicographic order, of the subsets that yield candidates, their
     (n, 2d, d) points (2d poles, or one point 2d times), and whether a
-    subset was skipped in doubt (:func:`gram_rows`).
+    subset was skipped in doubt (:func:`gram_rows`).  Each row is classified
+    by :func:`subset_spheres` and its poles stepped by :func:`pole_offsets`.
 
-    Sizes above min(m, d) add no candidate: d+1 spheres with independent
+    Sizes above min(m, d) add no candidate, so the walk stops there: d+1 spheres with independent
     centers meet in at most one point, which lies on the 0-sphere of each
     d-subset, and both points of a 0-sphere are its poles on each axis not
     orthogonal to them.  A subset with affinely dependent centers yields no
     candidate either: each extra sphere equation is linear in the point and
     either implied by, or inconsistent with, those of a maximal independent
     subset, so its boundary intersection is empty or that of a subset
-    enumerated anyway.  Only a skip in doubt can lose a candidate.
+    enumerated anyway.  Only a skip in doubt can lose a candidate.  Size
+    d+1 yields points alone, as :func:`reduce_sphere_system` does.
     """
     m, d = centers.shape
+    if j < 1:
+        raise GeometryError(f"subset size must be at least 1, got {j}")
     if j == 1:
         # Every disk boundary: c -/+ r e_q per axis.
         points = np.repeat(centers[:, None, :], 2 * d, axis=1).reshape(-1, d, 2, d)
@@ -546,34 +565,10 @@ def pole_block(centers: np.ndarray, radii: np.ndarray, j: int, tol: float = DEFA
         points[:, axes, 1, axes] += radii[:, None]
         return np.arange(m)[:, None], points.reshape(-1, 2 * d, d), False
     rows = combination_rows(m, j)
-    members, normals, gram, full, doubtful = gram_rows(centers, rows)
-    rad = radii[rows]
-    sq = rad**2
-    # A normal's squared length is its member's squared distance to the last.
-    rhs = 0.5 * (sq[:, -1:] + squared_distances(members[:, -1], members[:, :-1]) - sq[:, :-1])
-    lam = np.linalg.solve(gram, rhs[..., None])
-    center = (lam.transpose(0, 2, 1) @ normals)[:, 0] + members[:, -1]
-    r2 = fold(np.add, sq - squared_distances(center, members)) / j  # np.mean's arithmetic, below 8 members
-    tol_sq = tol * row_spans(members, rad) ** 2
-    # The rules of reduce_sphere_system on each subset, with its own span:
-    # a point within tol_sq of zero radius, a sphere above it, else empty.
-    sphere = full & (r2 > tol_sq)
-    kept = sphere | (full & (np.abs(r2) <= tol_sq))
+    normals, gram, center, r2, point, sphere, _, doubtful = subset_spheres(centers, radii, rows, tol)
+    kept = point | sphere
     points = np.repeat(center[kept][:, None, :], 2 * d, axis=1)
     if sphere.any():
-        normals = normals[sphere]
-        # Column q of I - N^T (N N^T)^-1 N points toward the e_q-north pole.
-        proj = np.eye(d) - normals.transpose(0, 2, 1) @ np.linalg.solve(gram[sphere], normals)
-        norms = np.sqrt(fold(np.add, (proj * proj).transpose(0, 2, 1)))  # the bits of np.linalg.norm(proj, axis=1)
-        flat = norms <= 2.0 * tol  # as in poles_general
-        unit = (proj / np.where(flat, 1.0, norms)[:, None, :]).transpose(0, 2, 1)
-        offsets = np.stack([-unit, unit], axis=2)
-        # A degenerate axis (e_q in the span of the normals): pi_q is
-        # constant on the sphere, so both poles are one sphere point, the
-        # step along the first tangent direction (ISphere.tangent_basis).
-        s, q = np.nonzero(flat)
-        if len(s):
-            offsets[s, q] = np.linalg.svd(normals[s], full_matrices=True)[2][:, j - 1, None, :]
-        offsets = offsets.reshape(-1, 2 * d, d)
+        offsets, _ = pole_offsets(normals[sphere], gram[sphere], tol)
         points[sphere[kept]] = center[sphere][:, None, :] + np.sqrt(r2[sphere])[:, None, None] * offsets
     return rows[kept], points, bool(doubtful.any())

@@ -1,18 +1,24 @@
 """Per-subset pole enumeration: the reference the batched pole blocks are tested against.
 
-One :func:`reduce_sphere_system` call per subset, then :func:`poles_general`
-per axis for spheres, one :class:`Pole` per candidate and one
-:func:`contains_all_batch` call per subset.  A subset with affinely dependent
-centers (:class:`DegenerateConfiguration`) yields no pole, and is flagged when
-its skip is in doubt (:func:`doubtful`) and it has at most d disks, as the
-package walks.  The subsets of d+1 disks stay candidates here, so every
-comparison also checks that they add nothing to the package's answers.
-Its consumers below keep the semantics of the package's decision, minimal box
-and SVG picture, and of the filtration before its subsystems were bisected in
-lockstep.  The loop form of :func:`cechkit.geometry.preprocess` is kept
-here as well, with the disjoint-pair rule that the package's first
-certificate round (:func:`cechkit.cech.certified_empty`) replaced, and the
-full subset enumeration of the exact Cech scale.
+The package derives every pole from one batched kernel
+(:func:`cechkit.geometry.subset_spheres` and
+:func:`cechkit.geometry.pole_offsets`), and its public sphere functions
+wrap it.  This file keeps a second derivation and calls neither those nor
+their wrappers: one Gram solve per subset with the mean squared radius
+(:func:`reduce`), one Gram solve per axis for the poles (:func:`poles`),
+one :class:`Pole` per candidate and one :func:`contains_all_batch` call per
+subset.  :func:`intersect_two` keeps Heron's formula and the distance rule
+of the pair.  A subset with affinely dependent centers yields no pole, and
+is flagged when its skip is in doubt (:func:`doubtful`) and it has at most
+d disks, as the package walks.  The subsets of d+1 disks stay candidates
+here, so every comparison also checks that they add nothing to the
+package's answers.  Its consumers below keep the semantics of the package's
+decision, minimal box and SVG picture, and of the filtration before its
+subsystems were bisected in lockstep.  The loop form of
+:func:`cechkit.geometry.preprocess` is kept here as well, with the
+disjoint-pair rule that the package's first certificate round
+(:func:`cechkit.cech.certified_empty`) replaced, and the full subset
+enumeration of the exact Cech scale.
 """
 
 import math
@@ -24,13 +30,10 @@ import numpy as np
 from cechkit import (
     Box,
     CechDecision,
-    DegenerateConfiguration,
     Filtration,
     ScaleReport,
     WeightedSimplex,
     jung_factor,
-    poles_general,
-    reduce_sphere_system,
     rescale,
     rips_scale,
 )
@@ -39,13 +42,86 @@ from cechkit.geometry import (
     NORTH,
     SOUTH,
     EmptyIntersection,
+    FullSphereError,
+    ISphere,
     Pole,
     PointIntersection,
-    boundary_poles,
+    SphereIntersection,
     contains_all_batch,
     span,
+    squared_distances,
 )
 from cechkit.cech import subset_roots
+
+
+def reduce(M, tol=DEFAULT_TOL):
+    """Common boundary intersection of 2 <= m <= d+1 disks, or None when
+    their centers are affinely dependent: the Gram matrix of the normals
+    n_i = c_i - c_m is zero below the smallest normal float, or its
+    smallest singular value is at most 1e-12 of its largest.  Solves the
+    Gram system for the center c in the affine hull of the centers, takes
+    r^2 as the mean of r_i^2 - ||c - c_i||^2, and classifies with the span
+    of the disks: a point when |r^2| <= tol span^2, a sphere above it when
+    m <= d, else empty."""
+    m, d = len(M), M.dimension
+    base = M.centers[-1]
+    N = M.centers[:-1] - base
+    gram = N @ N.T
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[0] < sys.float_info.min or sv[-1] <= 1e-12 * sv[0]:
+        return None
+    rhs = 0.5 * (M.radii[-1] ** 2 + np.sum(N * N, axis=1) - M.radii[:-1] ** 2)
+    center = np.linalg.solve(gram, rhs) @ N + base
+    r2 = float(np.mean(M.radii**2 - squared_distances(center, M.centers)))
+    tol_sq = tol * float(span(M.centers, M.radii)) ** 2
+    if abs(r2) <= tol_sq:
+        return PointIntersection(center)
+    if r2 > tol_sq and m <= d:
+        return SphereIntersection(ISphere(center, math.sqrt(r2), N))
+    return EmptyIntersection()
+
+
+def intersect_two(d1, d2, tol=DEFAULT_TOL):
+    """Boundary intersection of two disks by Heron's formula: the sphere
+    with center on the segment c1-c2 and normal c2 - c1.  Within tol * span
+    of the pair, coincident centers give the whole sphere (FullSphereError)
+    or nothing, and a center distance of r1 + r2 or |r1 - r2| a point."""
+    c1, r1, c2, r2 = d1.center, d1.radius, d2.center, d2.radius
+    diff = c2 - c1
+    dist = math.sqrt(squared_distances(c2, c1[None])[0])
+    scale = tol * float(span((c1, c2), (r1, r2)))
+    if dist <= scale:
+        if abs(r1 - r2) <= scale:
+            raise FullSphereError("identical disks: boundary intersection is the full sphere")
+        return EmptyIntersection()
+    if dist > r1 + r2 + scale or dist < abs(r1 - r2) - scale:
+        return EmptyIntersection()
+    t = 0.5 + (r1 * r1 - r2 * r2) / (2.0 * dist * dist)
+    center = c1 + t * diff
+    if abs(dist - (r1 + r2)) <= scale or abs(dist - abs(r1 - r2)) <= scale:
+        return PointIntersection(center)
+    s = 0.5 * (dist + r1 + r2)
+    radius = 2.0 * math.sqrt(max(s * (s - dist) * (s - r1) * (s - r2), 0.0)) / dist
+    return SphereIntersection(ISphere(center, radius, diff[None, :]))
+
+
+def poles(sphere, q, tol=DEFAULT_TOL):
+    """e_q-poles of an i-sphere with independent normals N, one Gram solve
+    per axis: u = e_q + N^T w with (N N^T) w = -N e_q is the projection of
+    e_q onto the tangent space, and the poles are c -/+ r u / ||u||.  When
+    ||u|| <= 2 tol the axis is degenerate, and both poles are c + r t for
+    the first tangent direction t (c when there is none)."""
+    N = sphere.normals
+    u = np.linalg.solve(N @ N.T, -N[:, q]) @ N
+    u[q] += 1.0
+    c, r = sphere.center, sphere.radius
+    norm = float(np.linalg.norm(u))
+    if norm <= 2.0 * tol:
+        tangent = np.linalg.svd(N, full_matrices=True)[2][len(N) :]
+        point = c + r * tangent[0] if r != 0.0 and len(tangent) else c
+        return Pole(point, q, SOUTH, degenerate_axis=True), Pole(point, q, NORTH, degenerate_axis=True)
+    unit = u / norm
+    return Pole(c - r * unit, q, SOUTH), Pole(c + r * unit, q, NORTH)
 
 
 def doubtful(M, subset):
@@ -69,13 +145,12 @@ def candidate_poles(M, tol=DEFAULT_TOL):
     for i in range(m):
         entries = []
         for q in range(d):
-            entries.extend(boundary_poles(M[i], q))
+            entries.extend(poles(ISphere(M.centers[i], M.radii[i], np.empty((0, d))), q))
         yield (i,), entries, False
     for k in range(2, min(m, d + 1) + 1):
         for subset in combinations(range(m), k):
-            try:
-                kind = reduce_sphere_system(M.subsystem(subset), tol)
-            except DegenerateConfiguration:
+            kind = reduce(M.subsystem(subset), tol)
+            if kind is None:
                 yield subset, [], k <= d and doubtful(M, subset)
                 continue
             if isinstance(kind, EmptyIntersection):
@@ -87,7 +162,7 @@ def candidate_poles(M, tol=DEFAULT_TOL):
                     entries.append(Pole(kind.point, q, NORTH))
             else:
                 for q in range(d):
-                    entries.extend(poles_general(kind.sphere, q, tol))
+                    entries.extend(poles(kind.sphere, q, tol))
             yield subset, entries, False
 
 

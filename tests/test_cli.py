@@ -444,3 +444,20 @@ def test_auto_input_format_reads_json_for_any_case_of_suffix(tmp_path, capsys, n
     path.write_text('{"dimension": 2, "disks": [[0, 0, 1], [1, 0, 1]]}')
     assert main(["check", str(path)]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, text", [("disks.csv", "0,0,1\n1,0,1\n"),
+                                        ("disks.json", '{"dimension": 2, "disks": [[0, 0, 1], [1, 0, 1]]}')])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, name, text):
+    # Many Windows tools start a UTF-8 file with U+FEFF.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir(), marked.mkdir()
+    (plain / name).write_text(text, encoding="utf-8")
+    (marked / name).write_text(text, encoding="utf-8-sig")
+    assert (marked / name).read_bytes() == b"\xef\xbb\xbf" + (plain / name).read_bytes()
+    outputs = []
+    for folder in (plain, marked):
+        assert main(["aabb", "--format", "json", str(folder / name)]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert outputs[1].err == ""

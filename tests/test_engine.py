@@ -161,7 +161,7 @@ def _skips(M, most):
     m = len(M)
     for j in range(2, min(m, most) + 1):
         rows = combination_rows(m, j)
-        *_, full, doubtful = gram_rows(M.centers, rows)
+        full, doubtful = gram_rows(M.centers, rows)[3:5]
         yield from zip(rows[~full], doubtful[~full])
 
 
@@ -281,7 +281,7 @@ def test_every_point_of_d_plus_1_disks_is_a_point_of_a_walked_subset():
         if m <= d:
             continue
         rows, subsets = combination_rows(m, d + 1), combination_rows(m, d)
-        *_, full, doubtful = gram_rows(M.centers, rows)
+        full, doubtful = gram_rows(M.centers, rows)[3:5]
         kept = {tuple(row) for row in subsets[gram_rows(M.centers, subsets)[3]]}
         for row in rows[full | doubtful]:
             checked += 1

@@ -153,11 +153,7 @@ OLD_SPELLINGS = [
      "distances = np.sqrt(squared_distances(points[start : start + CONTAINS_CHUNK], system.centers))",
      "diff = points[start : start + CONTAINS_CHUNK, None, :] - system.centers\n"
      "        diff *= diff\n        distances = np.sqrt(np.add.reduce(diff, axis=2))"),
-    (cechkit.geometry, "intersect_two_spheres", "dist = math.sqrt(squared_distances(c2, c1[None])[0])",
-     "dist = float(np.linalg.norm(diff))"),
-    (cechkit.geometry, "reduce_sphere_system", "squared_distances(center, M.centers)",
-     "np.sum((center - M.centers) ** 2, axis=1)"),
-    (cechkit.geometry, "pole_block", "fold(np.add, sq - squared_distances(center, members))",
+    (cechkit.geometry, "subset_spheres", "fold(np.add, sq - squared_distances(center, members))",
      "fold(np.add, sq - np.sum((center[:, None, :] - members) ** 2, axis=2))"),
     (cechkit.cech, "_basis_rounds", "np.sqrt(squared_distances(point, M.centers))",
      "np.sqrt(np.sum((M.centers - point) ** 2, axis=1))"),
@@ -344,8 +340,9 @@ def test_poles_codim1_component_magnitudes():
 
 
 def test_poles_codim1_is_the_closed_form_bit_for_bit():
-    # The reference poles of tests/reference_poles.py come from this
-    # wrapper; the closed form v = e_q - (n_q/||n||^2) n must not drift.
+    # The reference poles of tests/reference_poles.py come from its per-axis
+    # Gram solve; on one normal it is the closed form v = e_q - (n_q/||n||^2) n,
+    # and must not drift.
     rng = np.random.default_rng(23)
     for i in range(500):
         d = int(rng.integers(2, 5))
@@ -355,7 +352,7 @@ def test_poles_codim1_is_the_closed_form_bit_for_bit():
             n[rng.integers(d)] = rng.uniform(0.1, 5.0)
         c, r = rng.uniform(-2.0, 2.0, d), float(rng.uniform(0.2, 3.0))
         for q in range(d):
-            south, north = poles_codim1(ISphere(c, r, n[None, :]), q)
+            south, north = ref.poles(ISphere(c, r, n[None, :]), q)
             v = -(n[q] / float(n @ n)) * n
             v[q] += 1.0
             norm = float(np.linalg.norm(v))
@@ -419,6 +416,7 @@ def test_reduce_disjoint_empty():
 
 
 def test_reduce_two_path_consistency():
+    # Heron's formula (the reference) against the Gram kernel (the package).
     rng = np.random.default_rng(11)
     for _ in range(300):
         d = int(rng.integers(2, 5))
@@ -426,16 +424,17 @@ def test_reduce_two_path_consistency():
         r1, r2 = rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
         d1, d2 = Disk(c1, float(r1)), Disk(c2, float(r2))
         try:
-            direct = intersect_two_spheres(d1, d2)
+            direct = ref.intersect_two(d1, d2)
         except FullSphereError:  # pragma: no cover - measure-zero event
             continue
-        via_gram = reduce_sphere_system(DiskSystem((d1, d2)))
+        via_gram = intersect_two_spheres(d1, d2)
         assert type(direct) is type(via_gram)
         if isinstance(direct, SphereIntersection):
             np.testing.assert_allclose(
                 direct.sphere.center, via_gram.sphere.center, atol=1e-9
             )
             assert direct.sphere.radius == pytest.approx(via_gram.sphere.radius, abs=1e-9)
+            np.testing.assert_array_equal(direct.sphere.normals, via_gram.sphere.normals)
         elif isinstance(direct, PointIntersection):
             np.testing.assert_allclose(direct.point, via_gram.point, atol=1e-9)
 
@@ -598,13 +597,22 @@ def test_rank_screen_matches_svd_test(k):
         assert bool(got[0]) == bool(want[0]) and int(got[1]) == int(want[1])
 
 
-def test_require_full_rank_message_and_rank():
-    from cechkit.geometry import _require_full_rank
-
-    _require_full_rank(np.array([[2.0, 1.0], [1.0, 2.0]]), "rank {rank}")
-    for gram, rank in ((np.array([[1.0, 2.0], [2.0, 4.0]]), 1), (np.zeros((3, 3)), 0)):
-        with pytest.raises(DegenerateConfiguration, match=f"^Gram rank {rank} < 3$") as info:
-            _require_full_rank(gram, "Gram rank {rank} < 3")
+def test_wrappers_report_the_gram_rank():
+    # The rank of gram_rows' rank test, in the message and on the error.
+    cases = [
+        (lambda: reduce_sphere_system(DiskSystem.from_arrays([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
+                                                              [1.0, 1.0, 1.0])),
+         r"^affinely dependent centers \(Gram rank 1 < 2\)$", 1),
+        (lambda: reduce_sphere_system(DiskSystem.from_arrays([[1.0, 2.0]] * 3, [1.0, 2.0, 3.0])),
+         r"^affinely dependent centers \(Gram rank 0 < 2\)$", 0),
+        (lambda: poles_general(ISphere(np.zeros(3), 1.0, [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), 0),
+         r"^normals are linearly dependent \(Gram rank 1 < 2\)$", 1),
+        (lambda: poles_general(ISphere(np.zeros(3), 1.0, np.zeros((3, 3))), 0),
+         r"^normals are linearly dependent \(Gram rank 0 < 3\)$", 0),
+    ]
+    for call, message, rank in cases:
+        with pytest.raises(DegenerateConfiguration, match=message) as info:
+            call()
         assert info.value.rank == rank
 
 
